@@ -522,7 +522,11 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
 
 _VERIFY_OPTS = [
     Opt("problem", _conv_str, help="problem bundle directory"),
-    Opt("experiment", _conv_str, help="experiment output directory"),
+    Opt(
+        "experiment",
+        _conv_str,
+        help="experiment output directory (re-runs the experiment once)",
+    ),
 ]
 
 
@@ -568,14 +572,15 @@ def _verify_experiment(directory: Path) -> None:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     _verify_checksums(directory, manifest.get("outputs", {}))
-    result = load_result(directory / "result.json")
+    # Re-run the stored spec: re-emitting the stored result alone would
+    # accept a result.json edited together with its checksums.
+    result = run_experiment(load_result(directory / "result.json").spec)
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = emit(result, tmp)
-        for path in fresh:
+        for path in emit(result, tmp):
             stored = directory / path.name
-            if stored.read_bytes() != path.read_bytes():
+            if not stored.is_file() or stored.read_bytes() != path.read_bytes():
                 raise VerificationError(
-                    f"{stored.name} does not re-emit byte-identically"
+                    f"{stored.name} does not reproduce byte-identically from its spec"
                 )
 
 

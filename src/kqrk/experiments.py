@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .linalg import feasible_level
 from .problems import (
@@ -396,7 +395,9 @@ def fig3_trend(result: ExperimentResult) -> dict:
     out: dict = {}
     rk = [(p.scale, p.horizon) for p in result.points if p.method == "rk"]
     if rk:
-        rho = _scipy_stats.spearmanr([s for s, _ in rk], [h for _, h in rk]).statistic
+        from scipy import stats  # slow to import; only needed here
+
+        rho = stats.spearmanr([s for s, _ in rk], [h for _, h in rk]).statistic
         out["spearman_scale_rk_horizon"] = float(rho)
     dq = [p for p in result.points if p.method == "dqrk"]
     if dq:

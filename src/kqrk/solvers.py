@@ -15,6 +15,14 @@ at the cut resolved toward the lowest row index.  On systems without unit
 rows the residual entries are scaled by 1 / |a_j|^2 before ranking, and
 selection within the admissible set is weighted by |a_i|^2 (uniform for
 unit rows).
+
+One helper selects from the band for ``run`` and both step functions.  On
+unit rows it sorts the key values, reads the two cuts and the value v at
+the chosen rank from the sorted copy, and returns the row holding v whose
+place among the rows equal to v matches that rank: the row a stable
+argsort would put there, so ties still go to the lowest row index.  Other
+rows take a stable argsort, since the weighted pick walks the band in
+that order.
 """
 from __future__ import annotations
 
@@ -202,14 +210,28 @@ def _pick_global(row_sq: np.ndarray, unit_rows: bool, u: float) -> int:
     return _weighted_pick(np.arange(m), row_sq, u)
 
 
-def _pick_in_band(
-    order: np.ndarray, k_lo: int, k_hi: int, row_sq: np.ndarray, unit_rows: bool, u: float
-) -> int:
+def _select_in_band(
+    keys: np.ndarray, k_lo: int, k_hi: int, row_sq: np.ndarray, unit_rows: bool, u: float
+) -> tuple[int, float, float]:
+    """Pick a row from the rank band [k_lo, k_hi) of keys; return (i, Q0, Q).
+
+    Q0 and Q are the k_lo-th and k_hi-th smallest keys (Q0 is unused when
+    k_lo is 0).  The row is the one a stable argsort would put at the
+    chosen rank, so ties go to the lowest row index.
+    """
     if unit_rows:
+        s = np.sort(keys)
         pos = k_lo + min(int(u * (k_hi - k_lo)), k_hi - k_lo - 1)
-        return int(order[pos])
+        v = s[pos]
+        # A stable argsort lists the rows holding v in index order from
+        # rank searchsorted(s, v) on; NaN keys sort last and never equal v.
+        ties = np.isnan(keys) if v != v else keys == v
+        i = int(np.flatnonzero(ties)[pos - np.searchsorted(s, v)])
+        return i, float(s[k_lo - 1]), float(s[k_hi - 1])
+    order = np.argsort(keys, kind="stable")
     band = order[k_lo:k_hi]
-    return _weighted_pick(band, row_sq[band], u)
+    i = _weighted_pick(band, row_sq[band], u)
+    return i, float(keys[order[k_lo - 1]]), float(keys[order[k_hi - 1]])
 
 
 def _resolve_counts(
@@ -242,6 +264,16 @@ def rk_step(
     return x + ((b[i] - a.data[i] @ x) / row_sq[i]) * a.data[i]
 
 
+def _band_step(
+    a: DenseMatrix, b: np.ndarray, x: np.ndarray, k_lo: int, k_hi: int, u: float
+) -> tuple[np.ndarray, float, float]:
+    row_sq = _row_sq_norms(a.data, a.row_normalized)
+    r = b - a.data @ x
+    keys = np.abs(r) if a.row_normalized else np.abs(r) / row_sq
+    i, quant_lo, quant_hi = _select_in_band(keys, k_lo, k_hi, row_sq, a.row_normalized, u)
+    return x + (r[i] / row_sq[i]) * a.data[i], quant_lo, quant_hi
+
+
 def qrk_step(
     a: DenseMatrix,
     b: np.ndarray,
@@ -254,13 +286,8 @@ def qrk_step(
     Consumes exactly one uniform draw from ``rng``.
     """
     _, k_hi, _, _ = _resolve_counts("qrk", q, None, a.m)
-    row_sq = _row_sq_norms(a.data, a.row_normalized)
-    r = b - a.data @ x
-    keys = np.abs(r) if a.row_normalized else np.abs(r) / row_sq
-    order = np.argsort(keys, kind="stable")
-    quant = float(keys[order[k_hi - 1]])
-    i = _pick_in_band(order, 0, k_hi, row_sq, a.row_normalized, rng.random())
-    return x + (r[i] / row_sq[i]) * a.data[i], quant, k_hi
+    x_next, _, quant = _band_step(a, b, x, 0, k_hi, rng.random())
+    return x_next, quant, k_hi
 
 
 def dqrk_step(
@@ -277,14 +304,8 @@ def dqrk_step(
     so it holds exactly (q - q0) * m rows.  Consumes one uniform draw.
     """
     k_lo, k_hi, _, _ = _resolve_counts("dqrk", q, q0, a.m)
-    row_sq = _row_sq_norms(a.data, a.row_normalized)
-    r = b - a.data @ x
-    keys = np.abs(r) if a.row_normalized else np.abs(r) / row_sq
-    order = np.argsort(keys, kind="stable")
-    quant_lo = float(keys[order[k_lo - 1]])
-    quant_hi = float(keys[order[k_hi - 1]])
-    i = _pick_in_band(order, k_lo, k_hi, row_sq, a.row_normalized, rng.random())
-    return x + (r[i] / row_sq[i]) * a.data[i], quant_lo, quant_hi, k_hi - k_lo
+    x_next, quant_lo, quant_hi = _band_step(a, b, x, k_lo, k_hi, rng.random())
+    return x_next, quant_lo, quant_hi, k_hi - k_lo
 
 
 def _initial_x(
@@ -327,7 +348,11 @@ def run(problem, config: SolverConfig) -> RunTrace:
 
     diag = None
     if config.record_diagnostics:
-        diag = _diagnostic_setup(config, corrupted, level_q)
+        if corrupted is None:
+            raise InvalidSpecError("diagnostics require a CorruptedProblem")
+        if config.method not in ("qrk", "dqrk"):
+            raise InvalidSpecError("diagnostics require a quantile method")
+        diag = _bound_terms(corrupted, level_q)
 
     init_ss, sel_ss = np.random.SeedSequence(config.seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
@@ -357,22 +382,23 @@ def run(problem, config: SolverConfig) -> RunTrace:
         if track_err:
             d = x - x_star
             sq_errors[k] = d @ d
+        done = k == big_k or (
+            config.stop_below is not None and sq_errors[k] < config.stop_below
+        )
+        # The final state records its quantiles; its pick goes unused.
+        u = 0.0 if done else uniforms[k]
         if quantile_like:
             keys = np.abs(r) if unit_rows else np.abs(r) / row_sq
-            order = np.argsort(keys, kind="stable")
-            quants_hi[k] = keys[order[k_hi - 1]]
+            i, quant_lo, quants_hi[k] = _select_in_band(
+                keys, k_lo, k_hi, row_sq, unit_rows, u
+            )
             if quants_lo is not None:
-                quants_lo[k] = keys[order[k_lo - 1]]
-        if k == big_k or (
-            config.stop_below is not None and sq_errors[k] < config.stop_below
-        ):
-            last = k
-            break
-        u = uniforms[k]
-        if quantile_like:
-            i = _pick_in_band(order, k_lo, k_hi, row_sq, unit_rows, u)
+                quants_lo[k] = quant_lo
         else:
             i = _pick_global(row_sq, unit_rows, u)
+        if done:
+            last = k
+            break
         chosen[k] = i
         coeff = r[i] / row_sq[i]
         x = x + coeff * a[i]
@@ -402,9 +428,9 @@ def run(problem, config: SolverConfig) -> RunTrace:
 
     bound_sparse = bound_noisy = None
     if diag is not None:
-        errs = np.sqrt(sq_errors)
-        bound_sparse = diag["sigma_max"] * errs / (math.sqrt(m) * diag["denom"])
-        bound_noisy = bound_sparse + diag["noise_term"]
+        sigma_max, denom, noise_term = diag
+        bound_sparse = sigma_max * np.sqrt(sq_errors) / (math.sqrt(m) * denom)
+        bound_noisy = bound_sparse + noise_term
 
     return RunTrace(
         method=config.method,
@@ -420,24 +446,20 @@ def run(problem, config: SolverConfig) -> RunTrace:
     )
 
 
-def _diagnostic_setup(
-    config: SolverConfig, corrupted: CorruptedProblem | None, level_q: Fraction | None
-) -> dict:
-    if corrupted is None:
-        raise InvalidSpecError("diagnostics require a CorruptedProblem")
-    if config.method not in ("qrk", "dqrk"):
-        raise InvalidSpecError("diagnostics require a quantile method")
-    beta = corrupted.minimal_beta()
-    if level_q >= 1 - beta:
+def _bound_terms(
+    problem: CorruptedProblem, level: Fraction, sigma_max: float | None = None
+) -> tuple[float, float, float]:
+    """(sigma_max, denominator, noise term) of the quantile ceilings at level q."""
+    beta = problem.minimal_beta()
+    if level >= 1 - beta:
         raise InvalidRegimeError(
-            f"diagnostic bound needs q < 1 - beta; q = {level_q}, beta = {beta}"
+            f"quantile bound needs q < 1 - beta; q = {level}, beta = {beta}"
         )
-    slack = 1 - level_q - beta
-    sigma_max, _ = singular_extremes(corrupted.system)
-    denom = math.sqrt(float(slack))
-    eta_inf = float(np.max(np.abs(corrupted.eta))) if corrupted.eta.size else 0.0
-    noise_term = math.sqrt(float(1 - level_q)) * eta_inf / denom
-    return {"sigma_max": sigma_max, "denom": denom, "noise_term": noise_term}
+    if sigma_max is None:
+        sigma_max, _ = singular_extremes(problem.system)
+    denom = math.sqrt(float(1 - level - beta))
+    eta_inf = float(np.max(np.abs(problem.eta))) if problem.eta.size else 0.0
+    return sigma_max, denom, math.sqrt(float(1 - level)) * eta_inf / denom
 
 
 def horizon_estimate(trace: RunTrace, window: int = DEFAULT_HORIZON_WINDOW) -> HorizonEstimate:
@@ -468,23 +490,14 @@ def quantile_diagnostic(
     q < 1 - beta for the realized corruption level beta.
     """
     m = problem.m
-    beta = problem.minimal_beta()
     level = feasible_level(q, m, lowest=1)
-    if level >= 1 - beta:
-        raise InvalidRegimeError(
-            f"quantile bound needs q < 1 - beta; q = {level}, beta = {beta}"
-        )
+    sigma_max, denom, noise_term = _bound_terms(problem, level, sigma_max)
     r = problem.b - problem.system.data @ x_k
     keys = np.abs(r)
     if not problem.system.row_normalized:
         keys = keys / _row_sq_norms(problem.system.data, False)
     k = int(level * m)
     q_obs = float(np.partition(keys, k - 1)[k - 1])
-    if sigma_max is None:
-        sigma_max, _ = singular_extremes(problem.system)
-    denom = math.sqrt(float(1 - level - beta))
     err = float(np.linalg.norm(x_k - problem.x_star))
     bound_sparse = sigma_max * err / (math.sqrt(m) * denom)
-    eta_inf = float(np.max(np.abs(problem.eta))) if problem.eta.size else 0.0
-    bound_noisy = bound_sparse + math.sqrt(float(1 - level)) * eta_inf / denom
-    return q_obs, bound_sparse, bound_noisy
+    return q_obs, bound_sparse, bound_sparse + noise_term

@@ -1,9 +1,15 @@
 """End-to-end CLI behavior through in-process main() calls."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kqrk.cli import build_hash, main
+from kqrk.experiments import emit, load_result
+from kqrk.serialize import sha256_file
 
 
 def _gen(tmp_path, name="prob", m=40, n=4, beta="1/20", scale="30", seed="5", extra=()):
@@ -283,6 +289,32 @@ class TestExperiment:
         (out / "data.csv").write_text("scale,trial,method,ratio,horizon\n")
         assert main(["verify", "--experiment", str(out)]) == 1
 
+    def test_edited_result_with_checksums_fails(self, tmp_path, capsys):
+        # Re-emitting the edited result and rewriting the checksums keeps
+        # the directory self-consistent; only a re-run of the spec differs.
+        out = tmp_path / "exp"
+        assert main(["experiment", "fig2", *self.ARGS, "--out", str(out)]) == 0
+        result = load_result(out / "result.json")
+        for ens in result.spec.ensembles:
+            result.curves[ens]["rk"][-1] = 1e-6
+            result.horizons[ens]["rk"] = 1e-6
+        emit(result, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"] = {rel: sha256_file(out / rel) for rel in manifest["outputs"]}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["verify", "--experiment", str(out)]) == 1
+        assert "does not reproduce" in capsys.readouterr().err
+
+    def test_missing_output_fails_verification(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["experiment", "fig2", *self.ARGS, "--out", str(out)]) == 0
+        (out / "data_uniform.csv").unlink()
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["outputs"]["data_uniform.csv"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", "--experiment", str(out)]) == 1
+
     def test_same_argv_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -417,3 +449,15 @@ class TestVersion:
         assert prefix.startswith("kqrk ")
         assert len(digest) == 12
         assert digest == build_hash()
+
+
+def test_import_skips_scipy():
+    # scipy.stats costs about a second at start-up and only fig3_trend needs it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, kqrk, kqrk.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kqrk.linalg import DenseMatrix
 from kqrk.problems import GenSpec, InvalidSpecError, generate
@@ -12,6 +14,7 @@ from kqrk.solvers import (
     InvalidRegimeError,
     SolverConfig,
     WindowTooLargeError,
+    _select_in_band,
     dqrk_step,
     horizon_estimate,
     project_onto_row,
@@ -143,6 +146,36 @@ class TestStepSelection:
         assert x2[1] == 1.0 and x2[0] == 0.0
 
 
+class TestSelectInBand:
+    """The value-sort pick must equal reading a stable argsort at the rank."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stable_argsort(self, data):
+        m = data.draw(st.integers(2, 60))
+        alphabet = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+        keys = np.array(data.draw(st.lists(alphabet, min_size=m, max_size=m)))
+        weights = st.sampled_from([0.25, 1.0, 4.0])
+        row_sq = np.array(data.draw(st.lists(weights, min_size=m, max_size=m)))
+        k_hi = data.draw(st.integers(1, m))
+        k_lo = data.draw(st.integers(0, k_hi - 1))
+        order = np.argsort(keys, kind="stable")
+        band = order[k_lo:k_hi]
+        width = k_hi - k_lo
+        cum = np.concatenate([[0.0], np.cumsum(row_sq[band])])
+        for j in range(width):
+            for unit_rows, u, expect in (
+                (True, (j + 0.5) / width, order[k_lo + j]),
+                (False, (cum[j] + cum[j + 1]) / 2 / cum[-1], band[j]),
+            ):
+                rs = np.ones(m) if unit_rows else row_sq
+                i, q_lo, q_hi = _select_in_band(keys, k_lo, k_hi, rs, unit_rows, u)
+                assert i == expect
+                np.testing.assert_equal(q_hi, keys[order[k_hi - 1]])
+                if k_lo:
+                    np.testing.assert_equal(q_lo, keys[order[k_lo - 1]])
+
+
 class TestRunTrace:
     def test_replay_qrk(self):
         """Every recorded step must be explainable from the trace itself."""
@@ -163,6 +196,32 @@ class TestRunTrace:
             assert i in set(lower_set_indices(keys, k_hi))
             x = x + r[i] * a[i]
         np.testing.assert_array_equal(trace.final_x, x)
+
+    def test_replay_dqrk_ties_at_both_cuts(self):
+        # Repeated b values, and the zeros left by projecting onto identity
+        # rows, put ties across both cuts; the band must still be the
+        # lowest-index multiset difference of the two lower sets.
+        m = 20
+        b = np.array([2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 2.0, 3.0, 1.0, 2.0] * 2)
+        cfg = SolverConfig(
+            method="dqrk", q=Fraction(3, 4), q0=Fraction(1, 4), iterations=40, seed=2, x0="zero"
+        )
+        trace = run((DenseMatrix(np.eye(m), row_normalized=True), b), cfg)
+        x = np.zeros(m)
+        straddled = {5: 0, 15: 0}
+        for k in range(trace.iterations):
+            keys = np.abs(b - x)
+            for cut in straddled:
+                v = sort_quantile(keys, cut)
+                below = np.count_nonzero(keys < v)
+                straddled[cut] += below < cut < below + np.count_nonzero(keys == v)
+            assert trace.quantiles_q0[k] == sort_quantile(keys, 5)
+            assert trace.quantiles_q[k] == sort_quantile(keys, 15)
+            i = int(trace.chosen_indices[k])
+            assert i in set(lower_set_indices(keys, 15)) - set(lower_set_indices(keys, 5))
+            x[i] = b[i]
+        np.testing.assert_array_equal(trace.final_x, x)
+        assert min(straddled.values()) > 0
 
     def test_replay_dqrk_band(self):
         prob = _problem(m=30, n=3, seed=12)
