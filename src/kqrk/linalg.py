@@ -14,10 +14,18 @@ Conventions used throughout the package:
   R^n, so subsets with fewer rows than columns contribute 0).  The exact
   variant enumerates subsets; the sampled variant inspects a random subset
   of index sets and therefore can only overestimate.
+
+* Both variants share one engine (``_min_over_subsets``): subsets are
+  screened in batches by the smallest eigenvalue of their Gram matrices,
+  and every subset that the screen cannot rule out within a proven slack
+  is re-solved by SVD.  The reported value is always an SVD value, the
+  same one, bit for bit, as running SVD on every subset, so exact mode
+  remains a certificate.  Sampled mode draws distinct subsets by rank in
+  the combinatorial number system (by random keys when C(m, k) >= 2**63),
+  so its cost grows with the sample count only.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +53,12 @@ __all__ = [
 SUBSET_ENUMERATION_CAP = 2_000_000
 FLOAT_LEVEL_TOLERANCE = 1e-9
 UNIT_ROW_TOLERANCE = 1e-12
+# Subset minima are computed in chunks of about this many bytes of
+# gathered rows, whatever the subset count.
+GATHER_BUDGET_BYTES = 1 << 20
+# kappa in the eigenvalue screen's slack tau = kappa (m + n) eps ||A||_F^2
+# (derived in _min_over_subsets).
+SCREEN_SLACK = 64
 
 
 class ZeroRowError(ValueError):
@@ -270,6 +284,143 @@ def _analytic_sigma_q_min(a: DenseMatrix, k: int) -> float | None:
     return None
 
 
+def _subset_size(a: DenseMatrix, q: float | Fraction) -> tuple[int, SigmaQMinResult | None]:
+    # k = q*m, plus the exact result when an analytic shortcut applies.
+    k = int(feasible_level(q, a.m, lowest=1) * a.m)
+    shortcut = _analytic_sigma_q_min(a, k)
+    if shortcut is None:
+        return k, None
+    return k, SigmaQMinResult(shortcut, "exact", 0, False)
+
+
+def _colex_table(m: int, g: int) -> np.ndarray:
+    # table[j, c] = C(c, j) for j <= g and c < m, built by the hockey-stick
+    # identity C(c, j) = sum_{t < c} C(t, j-1).  Every entry is at most
+    # C(m, g) when 2g <= m, so int64 holds it whenever C(m, g) < 2**63.
+    table = np.zeros((g + 1, m + 1), dtype=np.int64)
+    table[0] = 1
+    for j in range(1, g + 1):
+        np.cumsum(table[j - 1, :-1], out=table[j, 1:])
+    return table[:, :m]
+
+
+def _unrank(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # Sorted g-subsets of range(m) with the given colex ranks, by the
+    # combinatorial number system: rank = sum_j C(c_j, j) over the sorted
+    # members c_1 < ... < c_g, so c_j is the largest c with C(c, j) <= the
+    # rank still to account for.
+    g = table.shape[0] - 1
+    rest = np.array(ranks, dtype=np.int64)
+    out = np.empty((rest.size, g), dtype=np.intp)
+    for j in range(g, 0, -1):
+        c = np.searchsorted(table[j], rest, side="right") - 1
+        out[:, j - 1] = c
+        rest -= table[j, c]
+    return out
+
+
+def _all_subsets(m: int, g: int, chunk: int):
+    """Every g-subset of range(m), sorted, in colex order, ``chunk`` at a time."""
+    table = _colex_table(m, g)
+    total = math.comb(m, g)
+    for lo in range(0, total, chunk):
+        yield _unrank(np.arange(lo, min(lo + chunk, total)), table)
+
+
+def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
+    """``samples`` distinct uniform g-subsets of range(m), sorted, in chunks.
+
+    Requires 2g <= m.  While C(m, g) < 2**63 the draw is ``samples``
+    distinct ranks, unranked by the combinatorial number system, so the
+    cost is O(samples) even when ``samples`` is close to C(m, g).  Past
+    that, each subset is the g smallest of m random keys and a repeat is
+    rejected; some repeat occurs with probability at most
+    samples**2 / (2 C(m, g)) < samples**2 / 2**64, so rejections are rare
+    and the cost stays O(samples).
+    """
+    rng = np.random.default_rng(seed)
+    total = math.comb(m, g)
+    if total < 2**63:
+        table = _colex_table(m, g)
+        ranks = rng.choice(total, size=samples, replace=False)
+        for lo in range(0, samples, chunk):
+            yield _unrank(ranks[lo:lo + chunk], table)
+        return
+    chunk = max(1, min(chunk, GATHER_BUDGET_BYTES // (8 * m)))
+    seen: set[bytes] = set()
+    while len(seen) < samples:
+        keys = rng.random((min(chunk, samples - len(seen)), m))
+        idx = np.sort(np.argpartition(keys, g - 1, axis=1)[:, :g], axis=1)
+        fresh = []
+        for i, row in enumerate(idx):
+            tag = row.tobytes()
+            if tag not in seen:
+                seen.add(tag)
+                fresh.append(i)
+        yield idx[fresh]
+
+
+def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: int = 0) -> float:
+    """Minimum SVD sigma_min over k-row subsets: all of them, or ``samples`` drawn ones.
+
+    Subsets come in chunks of about ``GATHER_BUDGET_BYTES`` of gathered
+    rows.  Each chunk's Gram matrices are formed by one batched matmul,
+    as A_S^T A_S when 2k <= m and as A^T A - A_C^T A_C over the m - k
+    rows C left out otherwise (fewer rows either way), and screened by
+    one batched ``eigvalsh``.  A subset is re-solved by SVD unless its
+    screened lambda_min shows it cannot attain the minimum, and the
+    result is the minimum of those SVD values.
+
+    Soundness of the screen.  Let G = A_S^T A_S, so lambda_min(G) =
+    sigma_min(A_S)**2 (k >= n here), write F = ||A||_F**2 and u for the
+    unit roundoff.  Forming G in floating point perturbs it by a matrix
+    of 2-norm at most about 2(m + 1)u F (dot products of length <= m;
+    in the complement form two of them plus a subtraction).  ``eigvalsh``
+    is backward stable: its lambda_min is exact for G plus a further
+    perturbation of norm p(n)u||G|| <= p(n)u F.  By Weyl's inequality the
+    screened value mu therefore lies within the sum of those norms of
+    sigma_min(A_S)**2.  The SVD's computed s is exact for A_S plus a
+    perturbation of norm p'(k, n)u||A_S|| <= p'u sqrt(F), so again by
+    Weyl |s - sigma_min(A_S)| <= p'u sqrt(F) and |s**2 - sigma_min**2|
+    <= 2p'u F + O(u**2).  With p and p' modest multiples of n and k + n,
+    every subset has
+
+        |mu - s**2| <= tau = SCREEN_SLACK * (m + n) * eps * F,
+
+    where eps = 2u and SCREEN_SLACK = 64 leaves a safety factor over the
+    sum.  So a subset with mu > b**2 + tau, where b is an SVD value
+    already found, has s > b and cannot be the minimum; and within a
+    chunk the subset T with the smallest mu has s_T**2 <= mu_T + tau, so
+    a subset with mu > mu_T + 2 tau has s > s_T.  Every subset that
+    passes both cuts is re-solved, which always includes a subset
+    attaining the minimum SVD value, so the result equals that of SVD on
+    every subset, bit for bit, whatever the chunking or order.
+    """
+    data = a.data
+    m, n = data.shape
+    drop = 2 * k > m
+    g = m - k if drop else k
+    chunk = max(1, GATHER_BUDGET_BYTES // (8 * n * max(g, 1)))
+    if samples is None:
+        chunks = _all_subsets(m, g, chunk)
+    else:
+        chunks = _random_subsets(m, g, samples, seed, chunk)
+    full = data.T @ data if drop else None
+    tau = SCREEN_SLACK * (m + n) * np.finfo(np.float64).eps * frobenius_sq(a)
+    best = math.inf
+    for idx in chunks:
+        rows = data[idx]
+        gram = np.matmul(rows.transpose(0, 2, 1), rows)
+        if drop:
+            gram = full - gram
+        low = np.linalg.eigvalsh(gram)[:, 0]
+        cut = min(best * best, float(low.min()) + tau) + tau
+        for i in np.flatnonzero(low <= cut):
+            subset = np.delete(np.arange(m), idx[i]) if drop else idx[i]
+            best = min(best, _subset_min_singular(data[subset]))
+    return best
+
+
 def sigma_q_min_exact(
     a: DenseMatrix,
     q: float | Fraction,
@@ -281,22 +432,15 @@ def sigma_q_min_exact(
     Raises :class:`TooManySubsetsError` when C(m, q*m) exceeds ``cap`` and
     no analytic shortcut applies.
     """
-    level = feasible_level(q, a.m, lowest=1)
-    k = int(level * a.m)
-    shortcut = _analytic_sigma_q_min(a, k)
+    k, shortcut = _subset_size(a, q)
     if shortcut is not None:
-        return SigmaQMinResult(shortcut, "exact", 0, False)
+        return shortcut
     total = math.comb(a.m, k)
     if total > cap:
         raise TooManySubsetsError(
             f"C({a.m}, {k}) = {total} subsets exceeds the cap of {cap}"
         )
-    best = math.inf
-    for subset in itertools.combinations(range(a.m), k):
-        val = _subset_min_singular(a.data[list(subset)])
-        if val < best:
-            best = val
-    return SigmaQMinResult(best, "exact", total, False)
+    return SigmaQMinResult(_min_over_subsets(a, k), "exact", total, False)
 
 
 def sigma_q_min_sampled(
@@ -305,7 +449,7 @@ def sigma_q_min_sampled(
     samples: int,
     seed: int,
 ) -> SigmaQMinResult:
-    """Minimum of the subset sigma_min over ``samples`` random subsets.
+    """Minimum of the subset sigma_min over ``samples`` distinct random subsets.
 
     Sampling covers a subset of all index sets, so the value can only
     overestimate the exact minimum.  When ``samples`` reaches the total
@@ -314,28 +458,11 @@ def sigma_q_min_sampled(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    level = feasible_level(q, a.m, lowest=1)
-    k = int(level * a.m)
-    shortcut = _analytic_sigma_q_min(a, k)
+    k, shortcut = _subset_size(a, q)
     if shortcut is not None:
-        return SigmaQMinResult(shortcut, "exact", 0, False)
+        return shortcut
     total = math.comb(a.m, k)
     if samples >= total:
-        best = math.inf
-        for subset in itertools.combinations(range(a.m), k):
-            val = _subset_min_singular(a.data[list(subset)])
-            if val < best:
-                best = val
-        return SigmaQMinResult(best, "exact", total, False)
-    rng = np.random.default_rng(seed)
-    seen: set[tuple[int, ...]] = set()
-    best = math.inf
-    while len(seen) < samples:
-        subset = tuple(sorted(int(i) for i in rng.choice(a.m, size=k, replace=False)))
-        if subset in seen:
-            continue
-        seen.add(subset)
-        val = _subset_min_singular(a.data[list(subset)])
-        if val < best:
-            best = val
+        return SigmaQMinResult(_min_over_subsets(a, k), "exact", total, False)
+    best = _min_over_subsets(a, k, samples, seed)
     return SigmaQMinResult(best, "sampled", samples, True)

@@ -1,4 +1,4 @@
-"""File formats: binary matrix container, CSV matrices/vectors, bundles.
+"""File formats: binary matrix container, CSV vectors, bundles.
 
 Binary matrix container layout (little-endian):
 
@@ -37,8 +37,6 @@ __all__ = [
     "fmt_float",
     "save_matrix",
     "load_matrix",
-    "save_matrix_csv",
-    "load_matrix_csv",
     "save_vector_csv",
     "load_vector_csv",
     "sha256_file",
@@ -88,22 +86,6 @@ def load_matrix(path: str | Path) -> DenseMatrix:
         )
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(m, n)
     return DenseMatrix(data.astype(np.float64), row_normalized=bool(flag))
-
-
-def save_matrix_csv(path: str | Path, a: DenseMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in a.data:
-            writer.writerow([fmt_float(v) for v in row])
-
-
-def load_matrix_csv(path: str | Path, *, row_normalized: bool = False) -> DenseMatrix:
-    rows = []
-    with open(path, newline="") as fh:
-        for record in csv.reader(fh):
-            if record:
-                rows.append([float(v) for v in record])
-    return DenseMatrix(np.array(rows, dtype=np.float64), row_normalized=row_normalized)
 
 
 def save_vector_csv(path: str | Path, name: str, values: np.ndarray) -> None:

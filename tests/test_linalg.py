@@ -1,6 +1,7 @@
 """Matrix container, quantile conventions, and subset singular values."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 
 import _oracles as orc
 from kqrk.linalg import (
+    _all_subsets,
+    _min_over_subsets,
+    _random_subsets,
     DenseMatrix,
     MultisetQuantileSpec,
     NonIntegerQuantileError,
@@ -210,6 +214,85 @@ class TestSigmaQMin:
         full = sigma_q_min_exact(dm, Fraction(1))
         _, smin = singular_extremes(dm)
         assert math.isclose(full.value, smin, rel_tol=1e-12)
+
+
+def svd_subset_min(a, k):
+    """min over k-row subsets of the smallest singular value, one SVD each."""
+    return min(
+        float(np.linalg.svd(a[list(s)], compute_uv=False)[-1])
+        for s in itertools.combinations(range(a.shape[0]), k)
+    )
+
+
+@st.composite
+def screen_cases(draw):
+    """Small systems built to stress the eigenvalue screen.
+
+    "duplicated" repeats rows, so many subsets tie at the minimum;
+    "deficient" zeroes the last column on k rows, so some subset has
+    sigma = 0; "scaled" spreads row norms over 1e-6 to 1e6, so Gram
+    eigenvalues lose the small singular values to rounding.
+    """
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(2, min(4, m)))
+    k = draw(st.integers(n, m))
+    kind = draw(st.sampled_from(["plain", "duplicated", "deficient", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, n))
+    if kind == "duplicated":
+        a[rng.integers(0, m, m)] = a[rng.integers(0, m, m)]
+    elif kind == "deficient":
+        a[rng.choice(m, size=k, replace=False), -1] = 0.0
+    elif kind == "scaled":
+        a *= 10.0 ** rng.uniform(-6, 6, m)[:, None]
+    unit = draw(st.booleans())
+    return (row_normalize(a)[0] if unit else DenseMatrix(a)), k
+
+
+class TestSubsetEngine:
+    @given(screen_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_screen_keeps_the_svd_minimum(self, case):
+        dm, k = case
+        want = svd_subset_min(dm.data, k)
+        assert _min_over_subsets(dm, k) == want
+        got = sigma_q_min_exact(dm, Fraction(k, dm.m))
+        assert got.value == want
+        assert got.subsets_examined == math.comb(dm.m, k)
+
+    @pytest.mark.parametrize("m,g", [(1, 0), (5, 0), (5, 1), (6, 3), (9, 4), (12, 5)])
+    def test_enumeration_is_every_subset_once(self, m, g):
+        rows = np.concatenate(list(_all_subsets(m, g, 7)))
+        assert rows.shape == (math.comb(m, g), g)
+        assert {tuple(r) for r in rows} == set(itertools.combinations(range(m), g))
+
+    @pytest.mark.parametrize(
+        "m,g,samples",
+        [(10, 4, 1), (10, 4, 7), (10, 4, math.comb(10, 4) - 1), (80, 30, 50)],
+    )
+    def test_sampler_draws_distinct_sorted_subsets(self, m, g, samples):
+        if m == 80:  # past 2**63 subsets: the random-key path
+            assert math.comb(m, g) > 2**63
+        rows = np.concatenate(list(_random_subsets(m, g, samples, 3, 4)))
+        assert rows.shape == (samples, g)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert rows.min() >= 0 and rows.max() < m
+        assert len({tuple(r) for r in rows}) == samples
+        again = np.concatenate(list(_random_subsets(m, g, samples, 3, 4)))
+        np.testing.assert_array_equal(rows, again)
+
+    @pytest.mark.parametrize(
+        "m,k,samples",
+        [(10, 4, 1), (10, 4, 7), (10, 6, 209), (80, 50, 40)],
+    )
+    def test_sampled_counts_and_seeds(self, m, k, samples):
+        dm = rand_matrix(np.random.default_rng(m + k), m, 2)
+        first = sigma_q_min_sampled(dm, Fraction(k, m), samples, seed=5)
+        assert first.mode == "sampled"
+        assert first.subsets_examined == samples
+        assert sigma_q_min_sampled(dm, Fraction(k, m), samples, seed=5) == first
+        if m <= 12:
+            assert first.value >= sigma_q_min_exact(dm, Fraction(k, m)).value
 
 
 class TestSingularExtremes:

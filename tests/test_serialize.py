@@ -17,11 +17,9 @@ from kqrk.serialize import (
     MATRIX_FILENAME,
     fmt_float,
     load_matrix,
-    load_matrix_csv,
     load_problem,
     load_vector_csv,
     save_matrix,
-    save_matrix_csv,
     save_problem,
     save_trace_csv,
     save_vector_csv,
@@ -79,14 +77,6 @@ class TestMatrixContainer:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ContainerFormatError):
             load_matrix(path)
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        dm = DenseMatrix(rng.standard_normal((5, 3)))
-        path = tmp_path / "a.csv"
-        save_matrix_csv(path, dm)
-        back = load_matrix_csv(path)
-        np.testing.assert_array_equal(back.data, dm.data)
 
 
 class TestVectorCsv:
