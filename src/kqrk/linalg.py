@@ -15,14 +15,17 @@ Conventions used throughout the package:
   variant enumerates subsets; the sampled variant inspects a random subset
   of index sets and therefore can only overestimate.
 
-* Both variants share one engine (``_min_over_subsets``): subsets are
-  screened in batches by the smallest eigenvalue of their Gram matrices,
-  and every subset that the screen cannot rule out within a proven slack
-  is re-solved by SVD.  The reported value is always an SVD value, the
-  same one, bit for bit, as running SVD on every subset, so exact mode
-  remains a certificate.  Sampled mode draws distinct subsets by rank in
-  the combinatorial number system (by random keys when C(m, k) >= 2**63),
-  so its cost grows with the sample count only.
+* Both variants share one engine (``_min_over_subsets``), which rules
+  subsets out in three stages.  A batched Cholesky threshold test first
+  clears every subset whose Gram matrix is provably above the running
+  minimum; the rest are screened in batches by the smallest eigenvalue
+  of their Gram matrices; and every subset that neither stage can rule
+  out within a proven slack is re-solved by SVD.  The reported value is
+  always an SVD value, the same one, bit for bit, as running SVD on
+  every subset, so exact mode remains a certificate.  Sampled mode
+  draws distinct subsets by rank in the combinatorial number system (by
+  random keys when C(m, k) >= 2**63), so its cost grows with the sample
+  count only.
 """
 from __future__ import annotations
 
@@ -53,12 +56,15 @@ __all__ = [
 SUBSET_ENUMERATION_CAP = 2_000_000
 FLOAT_LEVEL_TOLERANCE = 1e-9
 UNIT_ROW_TOLERANCE = 1e-12
-# Subset minima are computed in chunks of about this many bytes of
-# gathered rows, whatever the subset count.
+# Subset minima are computed in chunks of at most this many bytes of
+# per-subset work arrays, whatever the subset count.
 GATHER_BUDGET_BYTES = 1 << 20
 # kappa in the eigenvalue screen's slack tau = kappa (m + n) eps ||A||_F^2
 # (derived in _min_over_subsets).
 SCREEN_SLACK = 64
+# kappa in the Cholesky test's slack tau_chol = kappa n (n + 1) eps ||A||_F^2
+# (derived in _min_over_subsets).
+CHOLESKY_SLACK = 16
 
 
 class ZeroRowError(ValueError):
@@ -351,6 +357,7 @@ def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
     while len(seen) < samples:
         keys = rng.random((min(chunk, samples - len(seen)), m))
         idx = np.sort(np.argpartition(keys, g - 1, axis=1)[:, :g], axis=1)
+        del keys  # not held while the caller works on the chunk
         fresh = []
         for i, row in enumerate(idx):
             tag = row.tobytes()
@@ -360,22 +367,60 @@ def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
         yield idx[fresh]
 
 
+def _cholesky_clears(gram: np.ndarray, c: float) -> np.ndarray:
+    """Which matrices G in a stack of symmetric n-by-n ones provably exceed c I.
+
+    Runs a column Cholesky with square roots on G - c I for the whole
+    stack at once, on one copy laid out entry by entry (so every step
+    works on contiguous vectors as long as the stack), and returns True
+    for each matrix whose every pivot is > 0; a NaN pivot fails.  A
+    matrix that fails is frozen: its pivot is taken as infinite, so its
+    column divides to zero and it no longer changes, and it never clears.
+    A matrix is also frozen, before the division, when an entry below
+    the pivot d has a square above d times its own diagonal: that
+    diagonal would turn negative, so a later pivot would fail anyway.
+    That check bounds every column entry of an unfrozen matrix by the
+    root of the largest diagonal entry D of G - c I, so no entry moves by
+    more than n D in all, and finite input raises no floating-point
+    warning.
+    """
+    count, n, _ = gram.shape
+    h = gram.transpose(1, 2, 0).copy()
+    diagonal = h.reshape(n * n, count)[:: n + 1]
+    diagonal -= c
+    ok = np.ones(count, dtype=bool)
+    for j in range(n):
+        pivot = diagonal[j]
+        below = h[j + 1:, j]
+        ok &= pivot > 0
+        ok &= (below * below <= pivot * diagonal[j + 1:]).all(axis=0)
+        col = below / np.sqrt(np.where(ok, pivot, np.inf))
+        h[j + 1:, j + 1:] -= col[:, None] * col[None]
+    return ok
+
+
 def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: int = 0) -> float:
     """Minimum SVD sigma_min over k-row subsets: all of them, or ``samples`` drawn ones.
 
-    Subsets come in chunks of about ``GATHER_BUDGET_BYTES`` of gathered
-    rows.  Each chunk's Gram matrices are formed by one batched matmul,
-    as A_S^T A_S when 2k <= m and as A^T A - A_C^T A_C over the m - k
-    rows C left out otherwise (fewer rows either way), and screened by
-    one batched ``eigvalsh``.  A subset is re-solved by SVD unless its
-    screened lambda_min shows it cannot attain the minimum, and the
-    result is the minimum of those SVD values.
+    Each chunk's Gram matrices A_S^T A_S come from one BLAS product P W:
+    row (i, j) of P, for i <= j, holds the products a_ri a_rj over the
+    rows r, and column s of the m-by-N 0/1 matrix W marks the rows of
+    subset s, so every Gram entry is a dot product of length m.  A chunk
+    holds N = GATHER_BUDGET_BYTES / (8 (m + 2 n**2)) subsets, so that W,
+    the N Gram matrices and the Cholesky test's copy of them fit the
+    budget together.  A batched Cholesky test (``_cholesky_clears``)
+    against the running minimum b clears most of them; the rest are
+    screened by one batched ``eigvalsh``.  A subset is re-solved by SVD
+    unless one of the two shows it cannot attain the minimum, and the
+    result is the minimum of those SVD values.  Before the first chunk,
+    b is the SVD value of its first subset, so every chunk is tested
+    against a value already found.
 
     Soundness of the screen.  Let G = A_S^T A_S, so lambda_min(G) =
     sigma_min(A_S)**2 (k >= n here), write F = ||A||_F**2 and u for the
     unit roundoff.  Forming G in floating point perturbs it by a matrix
-    of 2-norm at most about 2(m + 1)u F (dot products of length <= m;
-    in the complement form two of them plus a subtraction).  ``eigvalsh``
+    of 2-norm at most about (m + 1)u F (dot products of length m, in any
+    order the BLAS picks, of products rounded once).  ``eigvalsh``
     is backward stable: its lambda_min is exact for G plus a further
     perturbation of norm p(n)u||G|| <= p(n)u F.  By Weyl's inequality the
     screened value mu therefore lies within the sum of those norms of
@@ -391,33 +436,76 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     sum.  So a subset with mu > b**2 + tau, where b is an SVD value
     already found, has s > b and cannot be the minimum; and within a
     chunk the subset T with the smallest mu has s_T**2 <= mu_T + tau, so
-    a subset with mu > mu_T + 2 tau has s > s_T.  Every subset that
-    passes both cuts is re-solved, which always includes a subset
-    attaining the minimum SVD value, so the result equals that of SVD on
-    every subset, bit for bit, whatever the chunking or order.
+    a subset with mu > mu_T + 2 tau has s > s_T.
+
+    Soundness of the Cholesky test.  Let Gc be the computed Gram matrix
+    and c = b**2 + tau + tau_chol, with
+
+        tau_chol = CHOLESKY_SLACK * n * (n + 1) * eps * F.
+
+    Here b <= ||A_S||_2 <= sqrt(F), so c and every entry of Gc are at
+    most about F (the slacks are far below F for any m short of 10**12).
+    Forming c takes three roundings, at most 3u c <= 3u F in all, and the
+    test factors H, the computed Gc - c I, whose diagonal differs from the
+    exact one by at most u |Gc_ii - c| <= 2u F.  If every pivot is
+    positive, Demmel's backward-error result for Cholesky (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.5)
+    gives R^T R = H + dH with R^T R positive definite (R has a positive
+    diagonal) and ||dH||_2 <= n gamma_{n+1} ||H||_2 / (1 - n gamma_{n+1}),
+    where gamma_j = j u / (1 - j u).  For n (n + 1) u <= 1/4 that factor
+    is at most 2 n (n + 1) u, and ||H||_2 <= ||Gc||_2 + c <= 2F, so
+    ||dH||_2 <= 2 n (n + 1) eps F.  By Weyl's inequality, twice,
+
+        lambda_min(Gc) > b**2 + tau + tau_chol - (2 n (n + 1) + 3) eps F
+                       >= b**2 + tau,
+
+    since 2 n (n + 1) + 3 <= 4 n (n + 1) and CHOLESKY_SLACK = 16 leaves a
+    safety factor.  The Gram-formation and SVD errors above are part of
+    tau, so s**2 >= lambda_min(Gc) - tau > b**2: a cleared subset has
+    s > b and cannot be the minimum.
+
+    Every subset that passes all three cuts is re-solved, which always
+    includes a subset attaining the minimum SVD value, so the result
+    equals that of SVD on every subset, bit for bit, whatever the
+    chunking or order.
     """
     data = a.data
     m, n = data.shape
     drop = 2 * k > m
     g = m - k if drop else k
-    chunk = max(1, GATHER_BUDGET_BYTES // (8 * n * max(g, 1)))
+    chunk = max(1, GATHER_BUDGET_BYTES // (8 * (m + 2 * n * n)))
     if samples is None:
         chunks = _all_subsets(m, g, chunk)
     else:
         chunks = _random_subsets(m, g, samples, seed, chunk)
-    full = data.T @ data if drop else None
-    tau = SCREEN_SLACK * (m + n) * np.finfo(np.float64).eps * frobenius_sq(a)
+    upper = np.triu_indices(n)
+    products = (data[:, upper[0]] * data[:, upper[1]]).T
+    entry = np.empty((n, n), dtype=np.intp)
+    entry[upper] = entry.T[upper] = np.arange(len(upper[0]))
+    fro = frobenius_sq(a)
+    eps = np.finfo(np.float64).eps
+    tau = SCREEN_SLACK * (m + n) * eps * fro
+    tau_chol = CHOLESKY_SLACK * n * (n + 1) * eps * fro
+
+    def svd_value(members: np.ndarray) -> float:
+        return _subset_min_singular(data[np.delete(np.arange(m), members) if drop else members])
+
     best = math.inf
     for idx in chunks:
-        rows = data[idx]
-        gram = np.matmul(rows.transpose(0, 2, 1), rows)
-        if drop:
-            gram = full - gram
-        low = np.linalg.eigvalsh(gram)[:, 0]
+        if not len(idx):
+            continue
+        if math.isinf(best):
+            best = svd_value(idx[0])
+        weights = np.full((m, len(idx)), float(drop))
+        weights[idx, np.arange(len(idx))[:, None]] = float(not drop)
+        gram = (products @ weights)[entry].transpose(2, 0, 1)
+        left = np.flatnonzero(~_cholesky_clears(gram, best * best + tau + tau_chol))
+        if not left.size:
+            continue
+        low = np.linalg.eigvalsh(gram[left])[:, 0]
         cut = min(best * best, float(low.min()) + tau) + tau
-        for i in np.flatnonzero(low <= cut):
-            subset = np.delete(np.arange(m), idx[i]) if drop else idx[i]
-            best = min(best, _subset_min_singular(data[subset]))
+        for i in left[low <= cut]:
+            best = min(best, svd_value(idx[i]))
     return best
 
 

@@ -3,16 +3,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import _oracles as orc
+from kqrk import linalg
 from kqrk.linalg import (
+    CHOLESKY_SLACK,
     _all_subsets,
+    _cholesky_clears,
     _min_over_subsets,
     _random_subsets,
     DenseMatrix,
@@ -249,16 +253,127 @@ def screen_cases(draw):
     return (row_normalize(a)[0] if unit else DenseMatrix(a)), k
 
 
+def check_screen_keeps_the_svd_minimum(case):
+    dm, k = case
+    want = svd_subset_min(dm.data, k)
+    assert _min_over_subsets(dm, k) == want
+    got = sigma_q_min_exact(dm, Fraction(k, dm.m))
+    assert got.value == want
+    assert got.subsets_examined == math.comb(dm.m, k)
+
+
+@st.composite
+def gram_stacks(draw):
+    """A stack of symmetric matrices, its kind, and a threshold c >= 0.
+
+    "psd", "deficient" (X has fewer rows than columns, or a repeated
+    column) and "scaled" (columns spread over 1e-6 to 1e6) are Gram
+    matrices X^T X.  The rest must never clear: "zero_column" has a zero
+    row and column, so G - c I has a pivot -c <= 0 exactly; "indefinite"
+    subtracts 2 (trace + 1) v v^T for a unit v; "nan" has a NaN pair.
+    """
+    n = draw(st.integers(1, 7))
+    count = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(
+        ["psd", "deficient", "scaled", "zero_column", "indefinite", "nan"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((count, draw(st.integers(1, 2 * n)), n))
+    if kind == "deficient" and n > 1:
+        x[..., -1] = x[..., 0]
+    elif kind == "scaled":
+        x *= 10.0 ** rng.uniform(-6, 6, (count, 1, n))
+    elif kind == "zero_column":
+        x[..., rng.integers(n)] = 0.0
+    gram = x.transpose(0, 2, 1) @ x
+    if kind == "indefinite":
+        v = rng.standard_normal((count, n))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        scale = 2.0 * (np.trace(gram, axis1=1, axis2=2) + 1.0)
+        gram -= scale[:, None, None] * v[:, :, None] * v[:, None, :]
+    how = draw(st.sampled_from(["zero", "fraction", "near"]))
+    if how == "zero":
+        c = 0.0
+    elif how == "fraction":
+        c = draw(st.floats(0, 1)) * float(np.trace(gram[0]))
+    else:
+        c = float(np.linalg.eigvalsh(gram[0])[0]) * (1 + draw(st.floats(-1e-9, 1e-9)))
+    if kind == "nan":
+        i, j = rng.integers(n, size=2)
+        gram[:, i, j] = gram[:, j, i] = np.nan
+    return gram, kind, max(c, 0.0)
+
+
+class TestCholeskyClears:
+    @given(gram_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_cleared_matrices_are_above_the_threshold(self, case):
+        gram, kind, c = case
+        count, n, _ = gram.shape
+        before = gram.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cleared = _cholesky_clears(gram, c)
+        np.testing.assert_array_equal(gram, before)
+        assert cleared.shape == (count,) and cleared.dtype == bool
+        if kind in ("zero_column", "indefinite", "nan"):
+            assert not cleared.any()
+        if cleared.any():
+            fro = np.maximum(np.trace(gram, axis1=1, axis2=2), c)[cleared]
+            tau_chol = CHOLESKY_SLACK * n * (n + 1) * np.finfo(np.float64).eps * fro
+            low = np.linalg.eigvalsh(gram[cleared])[:, 0]
+            assert np.all(low >= c - tau_chol)
+
+    def test_known_stacks(self):
+        gram = np.array([
+            np.diag([3.0, 2.0, 1.0]),   # last pivot exactly 0 at c = 1
+            np.diag([0.5, 4.0, 4.0]),   # first pivot fails, the rest would pass
+            np.diag([2.0, 3.0, 4.0]),   # clears
+            [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]],  # lambda_min 1
+            np.full((3, 3), 2.0),       # rank one: 2 x 2 minor is zero
+            # fails at once; its column, if still applied, would overflow
+            np.full((3, 3), 1e80) - 1e80 * np.eye(3),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cholesky_clears(gram, 1.0)
+            assert got.tolist() == [False, False, True, False, False, False]
+            got = _cholesky_clears(gram, 0.5)
+            assert got.tolist() == [True, False, True, True, False, False]
+
+
 class TestSubsetEngine:
     @given(screen_cases())
     @settings(max_examples=150, deadline=None)
     def test_screen_keeps_the_svd_minimum(self, case):
-        dm, k = case
-        want = svd_subset_min(dm.data, k)
-        assert _min_over_subsets(dm, k) == want
-        got = sigma_q_min_exact(dm, Fraction(k, dm.m))
-        assert got.value == want
-        assert got.subsets_examined == math.comb(dm.m, k)
+        check_screen_keeps_the_svd_minimum(case)
+
+    @given(screen_cases())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_screen_keeps_the_svd_minimum_in_tiny_chunks(self, monkeypatch, case):
+        # A few subsets per chunk, so nearly every chunk is tested against
+        # the running minimum and the first one against the seeded value.
+        monkeypatch.setattr(linalg, "GATHER_BUDGET_BYTES", 256)
+        check_screen_keeps_the_svd_minimum(case)
+
+    def test_singular_subsets_keep_the_svd_minimum(self):
+        # Rows 1 and 2 are equal, so two of the four 3-row subsets are
+        # singular and their SVD values are rounding noise near 1e-17.
+        # Gram rounding is far above their squares, which is what the
+        # slack in the Cholesky threshold covers: the first subset seeds
+        # the minimum at the larger of the two, and the other must still
+        # reach the SVD.
+        a = np.array([
+            [-0.4583752814182017, -1.3140853562711352, 0.6586976762683966],
+            [-1.5353412369219648, 0.6136306992844481, 1.4943659536833518],
+            [-1.5353412369219648, 0.6136306992844481, 1.4943659536833518],
+            [0.9554258589047299, 0.5246310370122538, -2.5582694047689714],
+        ])
+        assert _min_over_subsets(DenseMatrix(a), 3) == svd_subset_min(a, 3)
 
     @pytest.mark.parametrize("m,g", [(1, 0), (5, 0), (5, 1), (6, 3), (9, 4), (12, 5)])
     def test_enumeration_is_every_subset_once(self, m, g):
@@ -280,6 +395,35 @@ class TestSubsetEngine:
         assert len({tuple(r) for r in rows}) == samples
         again = np.concatenate(list(_random_subsets(m, g, samples, 3, 4)))
         np.testing.assert_array_equal(rows, again)
+
+    def test_key_path_rejects_repeated_keys(self, monkeypatch):
+        m, g, samples = 80, 30, 50
+        real = np.random.default_rng
+        handed_out = []
+
+        class RepeatingKeys:
+            """Hands out every key row twice, and the first call's first row again first."""
+
+            def __init__(self, seed):
+                self.rng = real(seed)
+                self.first = None
+
+            def random(self, shape):
+                count, width = shape
+                keys = np.repeat(self.rng.random(((count + 1) // 2, width)), 2, axis=0)[:count]
+                if self.first is None:
+                    self.first = keys[0].copy()
+                elif count > 1:
+                    keys[0] = self.first
+                handed_out.append(count)
+                return keys
+
+        monkeypatch.setattr(np.random, "default_rng", RepeatingKeys)
+        rows = np.concatenate(list(_random_subsets(m, g, samples, 3, 4)))
+        assert sum(handed_out) > samples
+        assert rows.shape == (samples, g)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert len({tuple(r) for r in rows}) == samples
 
     @pytest.mark.parametrize(
         "m,k,samples",
