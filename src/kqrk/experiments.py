@@ -293,27 +293,22 @@ def _pool_map(fn, jobs, threads: int):
 
 def _run_curves(spec: ExperimentSpec, scale: float, threads: int) -> ExperimentResult:
     t0 = time.perf_counter()
-    problems: dict[str, CorruptedProblem] = {}
-    for ei, ens in enumerate(spec.ensembles):
-        problems[ens] = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, ei, 0, 0)))
-
-    jobs = [
-        (ei, ens, mi, meth)
-        for ei, ens in enumerate(spec.ensembles)
-        for mi, meth in enumerate(spec.methods)
-    ]
-
-    def one(job):
-        ei, ens, mi, meth = job
-        cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, 0, 0, mi))
-        trace = run(problems[ens], cfg)
-        return ens, meth, trace
-
     curves: dict = {ens: {} for ens in spec.ensembles}
     horizons: dict = {ens: {} for ens in spec.ensembles}
-    for ens, meth, trace in _pool_map(one, jobs, threads):
-        curves[ens][meth] = trace.sq_errors
-        horizons[ens][meth] = horizon_estimate(trace, spec.horizon_window).value
+    # One ensemble's problem is alive at a time: generate it, run every
+    # method on it, and drop it before the next.
+    for ei, ens in enumerate(spec.ensembles):
+        problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, ei, 0, 0)))
+
+        def one(job):
+            mi, meth = job
+            cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, 0, 0, mi))
+            return meth, run(problem, cfg)
+
+        for meth, trace in _pool_map(one, list(enumerate(spec.methods)), threads):
+            curves[ens][meth] = trace.sq_errors
+            horizons[ens][meth] = horizon_estimate(trace, spec.horizon_window).value
+        del problem
     return ExperimentResult(
         spec=spec,
         curves=curves,
@@ -497,18 +492,23 @@ def emit(
 
     if "csv" in formats:
         if result.curves is not None:
+            import csv
+
             present = [meth for meth in METHOD_ORDER if meth in spec.methods]
-            for ens in spec.ensembles:
-                path = out / f"data_{ens}.csv"
-                _write_csv(path, ["k", *present], _curve_rows(result.curves[ens], spec.methods))
-                written.append(path)
             path = out / "data.csv"
-            combined = (
-                [ens, *row]
-                for ens in spec.ensembles
-                for row in _curve_rows(result.curves[ens], spec.methods)
-            )
-            _write_csv(path, ["ensemble", "k", *present], combined)
+            # Each row is formatted once and written to both files as it goes.
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                combined = csv.writer(fh)
+                combined.writerow(["ensemble", "k", *present])
+                for ens in spec.ensembles:
+                    ens_path = out / f"data_{ens}.csv"
+                    with open(ens_path, "w", encoding="utf-8", newline="") as ens_fh:
+                        per = csv.writer(ens_fh)
+                        per.writerow(["k", *present])
+                        for row in _curve_rows(result.curves[ens], spec.methods):
+                            per.writerow(row)
+                            combined.writerow([ens, *row])
+                    written.append(ens_path)
             written.append(path)
         else:
             path = out / "data.csv"

@@ -16,13 +16,18 @@ rows the residual entries are scaled by 1 / |a_j|^2 before ranking, and
 selection within the admissible set is weighted by |a_i|^2 (uniform for
 unit rows).
 
-One helper selects from the band for ``run`` and both step functions.  On
-unit rows it sorts the key values, reads the two cuts and the value v at
-the chosen rank from the sorted copy, and returns the row holding v whose
-place among the rows equal to v matches that rank: the row a stable
-argsort would put there, so ties still go to the lowest row index.  Other
-rows take a stable argsort, since the weighted pick walks the band in
-that order.
+``run`` is the one step kernel, with one residual policy per method.
+rk never reads the residual: it draws every row up front, steps in O(n)
+on r_i = b_i - <a_i, x>, and fills the residual norms afterwards by one
+b - A X product per block of ``RK_BLOCK`` stored iterates.  qrk and dqrk
+rank the full residual b - A x, one gemv per step into buffers made once
+per run, or with ``residual_mode="incremental"`` update it by rows of
+the Gram matrix A A^T, re-synced every ``resync_every`` steps.
+
+Band selection on unit rows sorts a copy of the keys and returns the
+row a stable argsort would put at the chosen rank, so ties go to the
+lowest row index; other rows take a stable argsort, since the weighted
+pick walks the band in that order.
 """
 from __future__ import annotations
 
@@ -44,10 +49,6 @@ __all__ = [
     "WindowTooLargeError",
     "InvalidRegimeError",
     "ResidualDriftError",
-    "project_onto_row",
-    "rk_step",
-    "qrk_step",
-    "dqrk_step",
     "run",
     "horizon_estimate",
     "quantile_diagnostic",
@@ -55,7 +56,9 @@ __all__ = [
 
 METHODS = ("rk", "qrk", "dqrk")
 
-RESIDUAL_DRIFT_TOLERANCE = 1e-9
+# Safety factor on the drift bound derived in _drift_tolerance.
+RESIDUAL_DRIFT_SLACK = 2
+RK_BLOCK = 64
 DEFAULT_HORIZON_WINDOW = 100
 
 
@@ -83,9 +86,10 @@ class SolverConfig:
     give integer counts against the system size.  ``x0`` is "zero",
     "project_first" (project the start onto a randomly chosen row
     hyperplane, the dqrk default), or an explicit start vector.
-    ``residual_mode`` "incremental" maintains the residual with rank-one
-    updates against a cached Gram matrix, re-synced every
-    ``resync_every`` steps and checked against full recomputation.
+    ``residual_mode`` "incremental" makes qrk/dqrk maintain the residual
+    with rank-one updates against a cached Gram matrix, re-synced every
+    ``resync_every`` steps and checked against full recomputation; rk
+    never forms the residual, so the mode does not apply to it.
     ``stop_below`` ends the run early once the squared error against the
     known solution drops under the threshold (trace arrays shrink to the
     steps actually taken).
@@ -187,134 +191,72 @@ def _row_sq_norms(a: np.ndarray, unit_rows: bool) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def project_onto_row(
-    a: DenseMatrix | np.ndarray, b: np.ndarray, x: np.ndarray, i: int
-) -> np.ndarray:
-    """Orthogonal projection of x onto the solution set of row i."""
-    data = a.data if isinstance(a, DenseMatrix) else np.asarray(a, dtype=np.float64)
-    row = data[i]
-    return x + ((b[i] - row @ x) / (row @ row)) * row
+def _pick_rows(row_sq: np.ndarray, unit_rows: bool, us) -> np.ndarray:
+    """Rows drawn with probability |a_i|^2/|A|_F^2, one per uniform in ``us``.
 
-
-def _weighted_pick(indices: np.ndarray, weights: np.ndarray, u: float) -> int:
-    # Cumulative-sum inversion; deterministic in u.
-    cum = np.cumsum(weights)
-    j = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    return int(indices[min(j, len(indices) - 1)])
-
-
-def _pick_global(row_sq: np.ndarray, unit_rows: bool, u: float) -> int:
+    Unit rows take floor(u m); other rows invert the cumsum of |a_i|^2.
+    """
     m = len(row_sq)
+    us = np.asarray(us)
     if unit_rows:
-        return min(int(u * m), m - 1)
-    return _weighted_pick(np.arange(m), row_sq, u)
+        return np.minimum((us * m).astype(np.int64), m - 1)
+    cum = np.cumsum(row_sq)
+    return np.minimum(np.searchsorted(cum, us * cum[-1], side="right"), m - 1)
 
 
 def _select_in_band(
-    keys: np.ndarray, k_lo: int, k_hi: int, row_sq: np.ndarray, unit_rows: bool, u: float
+    keys: np.ndarray, k_lo: int, k_hi: int, row_sq: np.ndarray, unit_rows: bool, u: float,
+    s: np.ndarray | None = None, hits: np.ndarray | None = None,
 ) -> tuple[int, float, float]:
     """Pick a row from the rank band [k_lo, k_hi) of keys; return (i, Q0, Q).
 
     Q0 and Q are the k_lo-th and k_hi-th smallest keys (Q0 is unused when
     k_lo is 0).  The row is the one a stable argsort would put at the
-    chosen rank, so ties go to the lowest row index.
+    chosen rank, so ties go to the lowest row index.  ``s`` (float) and
+    ``hits`` (bool), shaped like ``keys``, are optional work buffers.
     """
-    if unit_rows:
-        s = np.sort(keys)
-        pos = k_lo + min(int(u * (k_hi - k_lo)), k_hi - k_lo - 1)
-        v = s[pos]
+    if not unit_rows:
+        order = np.argsort(keys, kind="stable")
+        band = order[k_lo:k_hi]
+        i = int(band[_pick_rows(row_sq[band], False, u)])
+        return i, float(keys[order[k_lo - 1]]), float(keys[order[k_hi - 1]])
+    if s is None:
+        s, hits = np.empty_like(keys), np.empty(keys.shape, dtype=bool)
+    np.copyto(s, keys)
+    s.sort()
+    pos = k_lo + min(int(u * (k_hi - k_lo)), k_hi - k_lo - 1)
+    v = s[pos]
+    if v == v and (pos == 0 or s[pos - 1] != v):
+        # v opens its run of equal values in sorted order, so the stable
+        # argsort puts the lowest row holding v at this rank.
+        i = int(np.equal(keys, v, out=hits).argmax())
+    else:
         # A stable argsort lists the rows holding v in index order from
         # rank searchsorted(s, v) on; NaN keys sort last and never equal v.
         ties = np.isnan(keys) if v != v else keys == v
         i = int(np.flatnonzero(ties)[pos - np.searchsorted(s, v)])
-        return i, float(s[k_lo - 1]), float(s[k_hi - 1])
-    order = np.argsort(keys, kind="stable")
-    band = order[k_lo:k_hi]
-    i = _weighted_pick(band, row_sq[band], u)
-    return i, float(keys[order[k_lo - 1]]), float(keys[order[k_hi - 1]])
+    return i, float(s[k_lo - 1]), float(s[k_hi - 1])
 
 
-def _resolve_counts(
-    method: str, q, q0, m: int
-) -> tuple[int, int, Fraction | None, Fraction | None]:
+def _resolve_counts(method: str, q, q0, m: int) -> tuple[int, int, Fraction | None]:
+    """(k_lo, k_hi, q as a level): the band of ranks [k_lo, k_hi) to pick from."""
     if method == "rk":
-        return 0, m, None, None
+        return 0, m, None
     level_q = feasible_level(q, m, lowest=1)
     k_hi = int(level_q * m)
     if method == "qrk":
-        return 0, k_hi, None, level_q
-    level_q0 = feasible_level(q0, m, lowest=1)
-    k_lo = int(level_q0 * m)
+        return 0, k_hi, level_q
+    k_lo = int(feasible_level(q0, m, lowest=1) * m)
     if not k_lo < k_hi:
         raise EmptyAdmissibleSetError(
             f"q0*m = {k_lo} must be smaller than q*m = {k_hi}"
         )
-    return k_lo, k_hi, level_q0, level_q
-
-
-def rk_step(
-    a: DenseMatrix, b: np.ndarray, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One projection onto a row sampled with probability |a_i|^2/|A|_F^2.
-
-    Consumes exactly one uniform draw from ``rng``.
-    """
-    row_sq = _row_sq_norms(a.data, a.row_normalized)
-    i = _pick_global(row_sq, a.row_normalized, rng.random())
-    return x + ((b[i] - a.data[i] @ x) / row_sq[i]) * a.data[i]
-
-
-def _band_step(
-    a: DenseMatrix, b: np.ndarray, x: np.ndarray, k_lo: int, k_hi: int, u: float
-) -> tuple[np.ndarray, float, float]:
-    row_sq = _row_sq_norms(a.data, a.row_normalized)
-    r = b - a.data @ x
-    keys = np.abs(r) if a.row_normalized else np.abs(r) / row_sq
-    i, quant_lo, quant_hi = _select_in_band(keys, k_lo, k_hi, row_sq, a.row_normalized, u)
-    return x + (r[i] / row_sq[i]) * a.data[i], quant_lo, quant_hi
-
-
-def qrk_step(
-    a: DenseMatrix,
-    b: np.ndarray,
-    x: np.ndarray,
-    q: Fraction | float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, int]:
-    """One quantile-screened projection; returns (x_next, Q, band size).
-
-    Consumes exactly one uniform draw from ``rng``.
-    """
-    _, k_hi, _, _ = _resolve_counts("qrk", q, None, a.m)
-    x_next, _, quant = _band_step(a, b, x, 0, k_hi, rng.random())
-    return x_next, quant, k_hi
-
-
-def dqrk_step(
-    a: DenseMatrix,
-    b: np.ndarray,
-    x: np.ndarray,
-    q0: Fraction | float,
-    q: Fraction | float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, float, int]:
-    """One double-screened projection; returns (x_next, Q0, Q, band size).
-
-    The admissible band is the multiset difference of the two lower sets,
-    so it holds exactly (q - q0) * m rows.  Consumes one uniform draw.
-    """
-    k_lo, k_hi, _, _ = _resolve_counts("dqrk", q, q0, a.m)
-    x_next, quant_lo, quant_hi = _band_step(a, b, x, k_lo, k_hi, rng.random())
-    return x_next, quant_lo, quant_hi, k_hi - k_lo
+    return k_lo, k_hi, level_q
 
 
 def _initial_x(
-    config: SolverConfig,
-    a: np.ndarray,
-    b: np.ndarray,
-    row_sq: np.ndarray,
-    unit_rows: bool,
-    init_rng: np.random.Generator,
+    config: SolverConfig, a: np.ndarray, b: np.ndarray, row_sq: np.ndarray,
+    unit_rows: bool, init_rng: np.random.Generator,
 ) -> np.ndarray:
     n = a.shape[1]
     policy = config.x0
@@ -328,9 +270,34 @@ def _initial_x(
         return np.zeros(n)
     # project_first: land on a randomly chosen row hyperplane so that
     # <x0, a_i> = b_i holds for some i.
-    i = _pick_global(row_sq, unit_rows, init_rng.random())
-    x = np.zeros(n)
-    return x + ((b[i] - a[i] @ x) / row_sq[i]) * a[i]
+    i = int(_pick_rows(row_sq, unit_rows, init_rng.random()))
+    return (b[i] / row_sq[i]) * a[i]
+
+
+def _drift_tolerance(steps: int, n: int, rho: float, b_inf: float, ax_peak: float) -> float:
+    """Bound on the incremental residual's rounding drift over one window.
+
+    Write u = eps/2 for the unit roundoff, S = ``steps`` since the last
+    exact residual, rho = max|a_j| / min|a_i| (1 on unit rows), and
+    ax_peak = max|a_j| times the window's largest ||x||_2.  A step on row
+    i computes c = r_i / |a_i|^2 once, for x <- x + c a_i and for
+    r_j <- r_j - c G_ij, where the computed Gram entry has
+    |G_ij - a_i.a_j| <= n u |a_i| |a_j|.  Entry j of r errs from the
+    exact update by at most (n + 1) u |c| |a_i| |a_j| + u |r_j|; rounding
+    c a_i and x + c a_i, which b - A x sees through |a_j| and the update
+    does not, adds u |c| |a_i| |a_j| + u |a_j| ||x||_2.  As |c| |a_i| |a_j|
+    = |r_i| |a_j| / |a_i| <= rho ||r||_inf, a step adds at most
+    (n + 3) u rho ||r||_inf + u ax_peak.  The exact b - A x that ends the
+    window errs by (n + 1) u (|b_j| + |a_j| ||x||_2).  With ||r||_inf <=
+    ||b||_inf + ax_peak, summing gives
+
+        drift <= (S + 1) (n + 4) u rho (||b||_inf + ax_peak).
+
+    The tolerance takes eps for u, and RESIDUAL_DRIFT_SLACK for second-order
+    terms; a wrong Gram row or a lost update drifts by about ||r||_inf.
+    """
+    eps = np.finfo(np.float64).eps
+    return RESIDUAL_DRIFT_SLACK * (steps + 1) * (n + 4) * eps * rho * (b_inf + ax_peak)
 
 
 def run(problem, config: SolverConfig) -> RunTrace:
@@ -344,7 +311,7 @@ def run(problem, config: SolverConfig) -> RunTrace:
     m, n = a.shape
     big_k = config.iterations
     row_sq = _row_sq_norms(a, unit_rows)
-    k_lo, k_hi, level_q0, level_q = _resolve_counts(config.method, config.q, config.q0, m)
+    k_lo, k_hi, level_q = _resolve_counts(config.method, config.q, config.q0, m)
 
     diag = None
     if config.record_diagnostics:
@@ -361,86 +328,116 @@ def run(problem, config: SolverConfig) -> RunTrace:
     x = _initial_x(config, a, b, row_sq, unit_rows, init_rng)
 
     track_err = x_star is not None
+    stop_below = config.stop_below
+    if stop_below is not None and not track_err:
+        raise InvalidSpecError("stop_below needs a problem with a known solution")
     sq_errors = np.empty(big_k + 1) if track_err else None
     residual_sq = np.empty(big_k + 1)
-    chosen = np.empty(big_k, dtype=np.int64)
-    quantile_like = config.method in ("qrk", "dqrk")
-    quants_hi = np.empty(big_k + 1) if quantile_like else None
-    quants_lo = np.empty(big_k + 1) if config.method == "dqrk" else None
-    adm = np.full(big_k + 1, (k_hi - k_lo) if quantile_like else m, dtype=np.int64)
-
-    if config.stop_below is not None and not track_err:
-        raise InvalidSpecError("stop_below needs a problem with a known solution")
-
-    incremental = config.residual_mode == "incremental"
-    gram = a @ a.T if incremental else None
-    r = b - a @ x
-
+    quants_hi = quants_lo = None
+    step = np.empty(n)
     last = big_k
-    for k in range(big_k + 1):
-        residual_sq[k] = r @ r
-        if track_err:
-            d = x - x_star
-            sq_errors[k] = d @ d
-        done = k == big_k or (
-            config.stop_below is not None and sq_errors[k] < config.stop_below
-        )
-        # The final state records its quantiles; its pick goes unused.
-        u = 0.0 if done else uniforms[k]
-        if quantile_like:
-            keys = np.abs(r) if unit_rows else np.abs(r) / row_sq
+
+    if config.method == "rk":
+        # The pick never reads the residual: draw every row now, step on
+        # r_i = b_i - a_i.x alone, and get residual norms (and errors) from
+        # the stored iterates, one GEMM per block.
+        chosen = _pick_rows(row_sq, unit_rows, uniforms)
+        block = min(RK_BLOCK, big_k + 1)
+        xs, axs = np.empty((block, n)), np.empty((block, m))
+        start = 0
+        for k in range(big_k + 1):
+            xs[k - start] = x
+            if k == big_k or k - start == block - 1:
+                ax = np.matmul(xs[: k - start + 1], a.T, out=axs[: k - start + 1])
+                np.subtract(b, ax, out=ax)
+                residual_sq[start : k + 1] = np.einsum("ij,ij->i", ax, ax)
+                if track_err:
+                    d = xs[: k - start + 1] - x_star
+                    errs = sq_errors[start : k + 1]
+                    errs[:] = np.einsum("ij,ij->i", d, d)
+                    hit = np.flatnonzero(errs < stop_below) if stop_below else ()
+                    if len(hit):
+                        last = start + int(hit[0])
+                        x = xs[hit[0]].copy()
+                        break
+                if k == big_k:
+                    break
+                start = k + 1
+            i = chosen[k]
+            row = a[i]
+            np.multiply(row, (b[i] - row @ x) / row_sq[i], out=step)
+            np.add(x, step, out=x)
+    else:
+        # Quantile methods rank the residual each step, in buffers made once.
+        chosen = np.empty(big_k, dtype=np.int64)
+        quants_hi = np.empty(big_k + 1)
+        quants_lo = np.empty(big_k + 1) if config.method == "dqrk" else None
+        r, keys, s, d = np.empty(m), np.empty(m), np.empty(m), np.empty(n)
+        hits = np.empty(m, dtype=bool)
+        np.subtract(b, np.matmul(a, x, out=r), out=r)
+        incremental = config.residual_mode == "incremental"
+        if incremental:
+            gram = a @ a.T
+            b_inf = float(np.max(np.abs(b)))
+            a_max = math.sqrt(float(row_sq.max()))
+            rho = a_max / math.sqrt(float(row_sq.min()))
+            xsq_peak = float(x @ x)
+        for k in range(big_k + 1):
+            if k and not incremental:
+                np.subtract(b, np.matmul(a, x, out=r), out=r)
+            residual_sq[k] = r @ r
+            if track_err:
+                np.subtract(x, x_star, out=d)
+                sq_errors[k] = d @ d
+            done = k == big_k or (stop_below is not None and sq_errors[k] < stop_below)
+            np.abs(r, out=keys)
+            if not unit_rows:
+                np.divide(keys, row_sq, out=keys)
+            # The final state records its quantiles; its pick goes unused.
             i, quant_lo, quants_hi[k] = _select_in_band(
-                keys, k_lo, k_hi, row_sq, unit_rows, u
+                keys, k_lo, k_hi, row_sq, unit_rows, 0.0 if done else uniforms[k], s, hits
             )
             if quants_lo is not None:
                 quants_lo[k] = quant_lo
-        else:
-            i = _pick_global(row_sq, unit_rows, u)
-        if done:
-            last = k
-            break
-        chosen[k] = i
-        coeff = r[i] / row_sq[i]
-        x = x + coeff * a[i]
-        if incremental:
-            r = r - coeff * gram[i]
-            if (k + 1) % config.resync_every == 0:
-                exact = b - a @ x
-                drift = float(np.max(np.abs(r - exact)))
-                if drift > RESIDUAL_DRIFT_TOLERANCE:
-                    raise ResidualDriftError(
-                        f"incremental residual drifted by {drift:.3e}"
+            if done:
+                last = k
+                break
+            chosen[k] = i
+            coeff = r[i] / row_sq[i]
+            np.multiply(a[i], coeff, out=step)
+            np.add(x, step, out=x)
+            if incremental:
+                np.multiply(gram[i], coeff, out=keys)  # keys is free until next step
+                np.subtract(r, keys, out=r)
+                xsq_peak = max(xsq_peak, float(x @ x))
+                if (k + 1) % config.resync_every == 0:
+                    exact = b - a @ x
+                    drift = float(np.max(np.abs(r - exact)))
+                    tol = _drift_tolerance(
+                        config.resync_every, n, rho, b_inf, a_max * math.sqrt(xsq_peak)
                     )
-                r = exact
-        else:
-            r = b - a @ x
+                    if drift > tol:
+                        msg = f"incremental residual drifted by {drift:.3e} (bound {tol:.3e})"
+                        raise ResidualDriftError(msg)
+                    r[:] = exact
+                    xsq_peak = float(x @ x)
 
-    if last < big_k:
-        residual_sq = residual_sq[: last + 1]
-        chosen = chosen[:last]
-        adm = adm[: last + 1]
-        if sq_errors is not None:
-            sq_errors = sq_errors[: last + 1]
-        if quants_hi is not None:
-            quants_hi = quants_hi[: last + 1]
-        if quants_lo is not None:
-            quants_lo = quants_lo[: last + 1]
-
+    states = slice(last + 1)
     bound_sparse = bound_noisy = None
     if diag is not None:
         sigma_max, denom, noise_term = diag
-        bound_sparse = sigma_max * np.sqrt(sq_errors) / (math.sqrt(m) * denom)
+        bound_sparse = sigma_max * np.sqrt(sq_errors[states]) / (math.sqrt(m) * denom)
         bound_noisy = bound_sparse + noise_term
 
     return RunTrace(
         method=config.method,
-        residual_norms=np.sqrt(residual_sq),
-        chosen_indices=chosen,
-        admissible_sizes=adm,
+        residual_norms=np.sqrt(residual_sq[states]),
+        chosen_indices=chosen[:last],
+        admissible_sizes=np.full(last + 1, k_hi - k_lo, dtype=np.int64),
         final_x=x,
-        sq_errors=sq_errors,
-        quantiles_q0=quants_lo,
-        quantiles_q=quants_hi,
+        sq_errors=None if sq_errors is None else sq_errors[states],
+        quantiles_q0=None if quants_lo is None else quants_lo[states],
+        quantiles_q=None if quants_hi is None else quants_hi[states],
         quantile_bound_sparse=bound_sparse,
         quantile_bound_noisy=bound_noisy,
     )

@@ -461,3 +461,26 @@ def test_import_skips_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    # Repeated in-process calls reuse one parser and still parse afresh.
+    from kqrk import cli
+
+    built = []
+
+    def counting_make_parser():
+        built.append(1)
+        return make_parser()
+
+    make_parser = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", counting_make_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["gen", "--m", "10", "--out", str(tmp_path / "x")]) == 2
+            assert "--n is required" in capsys.readouterr().err
+        assert main(["verify"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

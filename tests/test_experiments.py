@@ -280,6 +280,26 @@ class TestEmission:
         header = (tmp_path / "data_gaussian.csv").read_text().splitlines()[0]
         assert header == "k,rk,dqrk"
 
+    def test_curve_csvs_parse_back_to_the_curves(self, tmp_path):
+        # data.csv is the per-ensemble files, each row prefixed by its
+        # ensemble, and every value reads back to the curve's float.
+        result = run_fig1(_spec("fig1"))
+        emit(result, tmp_path, formats=("csv",))
+        combined = (tmp_path / "data.csv").read_text().splitlines()
+        assert combined[0] == "ensemble,k,rk,qrk,dqrk"
+        body = combined[1:]
+        for ens in ("gaussian", "uniform"):
+            lines = (tmp_path / f"data_{ens}.csv").read_text().splitlines()
+            assert lines[0] == "k,rk,qrk,dqrk"
+            assert [f"{ens},{line}" for line in lines[1:]] == body[: len(lines) - 1]
+            body = body[len(lines) - 1 :]
+            for k, line in enumerate(lines[1:]):
+                fields = line.split(",")
+                assert fields[0] == str(k)
+                for meth, text in zip(("rk", "qrk", "dqrk"), fields[1:]):
+                    assert float(text) == result.curves[ens][meth][k]
+        assert body == []
+
     def test_unknown_format_rejected(self, tmp_path):
         result = run_fig1(_spec("fig1", ensembles=("gaussian",), methods=("rk",)))
         with pytest.raises(InvalidSpecError):

@@ -12,29 +12,27 @@ from kqrk.solvers import (
     EmptyAdmissibleSetError,
     HorizonEstimate,
     InvalidRegimeError,
+    ResidualDriftError,
     SolverConfig,
     WindowTooLargeError,
     _select_in_band,
-    dqrk_step,
     horizon_estimate,
-    project_onto_row,
-    qrk_step,
     quantile_diagnostic,
-    rk_step,
     run,
 )
+from kqrk import solvers
 
 from _oracles import lower_set_indices, sort_quantile
 
 
-class _FixedU:
-    """Stand-in rng whose random() returns a preset value."""
+def _uniforms(seed, count):
+    """The selection uniforms run() draws for config.seed = seed."""
+    _, sel = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(sel).random(count)
 
-    def __init__(self, u):
-        self.u = u
 
-    def random(self):
-        return self.u
+def _one_step(system, method, seed, x0, **levels):
+    return run(system, SolverConfig(method=method, iterations=1, seed=seed, x0=x0, **levels))
 
 
 def _problem(m=40, n=4, beta=Fraction(1, 10), scale=20.0, seed=5, **kw):
@@ -49,63 +47,72 @@ class TestProjection:
         a = rng.standard_normal((6, 3))
         b = rng.standard_normal(6)
         x = rng.standard_normal(3)
-        for i in range(6):
-            xp = project_onto_row(a, b, x, i)
-            assert abs(a[i] @ xp - b[i]) < 1e-12
+        rows = set()
+        for seed in range(40):
+            trace = _one_step((a, b), "rk", seed, x)
+            i = int(trace.chosen_indices[0])
+            rows.add(i)
+            assert abs(a[i] @ trace.final_x - b[i]) < 1e-12
+        assert rows == set(range(6))
 
     def test_orthogonal_move(self):
         # The step is along the row direction only.
         a = np.array([[3.0, 4.0], [1.0, 0.0]])
         b = np.array([10.0, 0.0])
         x = np.array([2.0, -1.0])
-        xp = project_onto_row(a, b, x, 0)
-        move = xp - x
-        assert abs(move[0] * 4.0 - move[1] * 3.0) < 1e-14
+        rows = set()
+        for seed in range(40):
+            trace = _one_step((a, b), "rk", seed, x)
+            i = int(trace.chosen_indices[0])
+            rows.add(i)
+            move = trace.final_x - x
+            assert abs(move[0] * a[i, 1] - move[1] * a[i, 0]) < 1e-14
+        assert rows == {0, 1}
 
     def test_idempotent(self):
+        # The same seed picks the same row, so the second step repeats the
+        # first projection.
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 2))
         b = rng.standard_normal(4)
-        x1 = project_onto_row(a, b, np.zeros(2), 2)
-        x2 = project_onto_row(a, b, x1, 2)
-        np.testing.assert_allclose(x2, x1, atol=1e-15)
+        for seed in range(8):
+            t1 = _one_step((a, b), "rk", seed, np.zeros(2))
+            t2 = _one_step((a, b), "rk", seed, t1.final_x)
+            assert t2.chosen_indices[0] == t1.chosen_indices[0]
+            np.testing.assert_allclose(t2.final_x, t1.final_x, atol=1e-15)
 
 
 class TestStepSelection:
     def test_rk_unit_rows_uniform(self):
         dm = DenseMatrix(np.eye(5), row_normalized=True)
         b = np.arange(5.0)
+        trace = run((dm, b), SolverConfig(method="rk", iterations=60, seed=3))
         # u in [k/5, (k+1)/5) picks row k.
-        for u, expect in ((0.0, 0), (0.19, 0), (0.2, 1), (0.99, 4)):
-            x = rk_step(dm, b, np.zeros(5), _FixedU(u))
-            moved = int(np.nonzero(x)[0][0]) if x.any() else 0
-            assert moved == expect
+        expect = np.floor(_uniforms(3, 60) * 5).astype(np.int64)
+        np.testing.assert_array_equal(trace.chosen_indices, expect)
+        assert set(expect) == set(range(5))
 
     def test_rk_weighted_by_row_norm_sq(self):
-        # Rows with |a_i|^2 = 1 and 4: cumsum (1, 5).
+        # Rows with |a_i|^2 = 1 and 4: cumsum (1, 5), so u < 1/5 picks row 0.
         a = DenseMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
         b = np.array([1.0, 2.0])
-        x_lo = rk_step(a, b, np.zeros(2), _FixedU(0.19))
-        x_hi = rk_step(a, b, np.zeros(2), _FixedU(0.21))
-        assert x_lo[0] != 0 and x_lo[1] == 0
-        assert x_hi[1] != 0 and x_hi[0] == 0
+        trace = run((a, b), SolverConfig(method="rk", iterations=60, seed=4))
+        expect = (_uniforms(4, 60) >= 0.2).astype(np.int64)
+        np.testing.assert_array_equal(trace.chosen_indices, expect)
+        assert set(expect) == {0, 1}
 
     def test_qrk_restricts_to_lower_set(self):
         prob = _problem()
         keys = np.abs(prob.b)  # residual at x = 0 on unit rows
         admissible = set(lower_set_indices(keys, 32))  # q = 4/5, m = 40
-        for u in np.linspace(0.0, 0.999, 23):
-            x, quant, size = qrk_step(
-                prob.system, prob.b, np.zeros(prob.n), Fraction(4, 5), _FixedU(u)
-            )
-            assert size == 32
-            assert quant == sort_quantile(keys, 32)
-            moved = int(np.nonzero(x - 0.0)[0][0]) if x.any() else None
-            # identify the chosen row from the step direction
-            step = x - np.zeros(prob.n)
-            dots = prob.system.data @ step
-            i = int(np.argmax(np.abs(dots)))
+        for seed in range(23):
+            trace = _one_step(prob, "qrk", seed, "zero", q=Fraction(4, 5))
+            assert trace.admissible_sizes[0] == 32
+            assert trace.quantiles_q[0] == sort_quantile(keys, 32)
+            i = int(trace.chosen_indices[0])
             assert i in admissible
+            # the move is along row i
+            np.testing.assert_allclose(trace.final_x, prob.b[i] * prob.system.data[i])
 
     def test_dqrk_band_excludes_inner_set(self):
         prob = _problem()
@@ -115,35 +122,30 @@ class TestStepSelection:
         band = hi - lo
         assert len(band) == 8
         seen = set()
-        for u in np.linspace(0.0, 0.999, 40):
-            x, qlo, qhi, size = dqrk_step(
-                prob.system,
-                prob.b,
-                np.zeros(prob.n),
-                Fraction(3, 5),
-                Fraction(4, 5),
-                _FixedU(u),
-            )
-            assert size == 8
-            assert qlo == sort_quantile(keys, 24)
-            assert qhi == sort_quantile(keys, 32)
-            step = x
-            dots = prob.system.data @ step
-            i = int(np.argmax(np.abs(dots)))
+        for seed in range(60):
+            trace = _one_step(prob, "dqrk", seed, "zero", q=Fraction(4, 5), q0=Fraction(3, 5))
+            assert trace.admissible_sizes[0] == 8
+            assert trace.quantiles_q0[0] == sort_quantile(keys, 24)
+            assert trace.quantiles_q[0] == sort_quantile(keys, 32)
+            i = int(trace.chosen_indices[0])
             seen.add(i)
             assert i in band
-        assert seen == band  # sweeping u covers the whole band
+        assert seen == band  # sweeping seeds covers the whole band
 
     def test_tie_convention_lowest_index(self):
         # All residuals equal: the lower set is the lowest-index rows.
         dm = DenseMatrix(np.eye(4), row_normalized=True)
         b = np.ones(4)
-        x, quant, size = qrk_step(dm, b, np.zeros(4), Fraction(1, 2), _FixedU(0.0))
-        assert size == 2
-        assert quant == 1.0
-        assert x[0] == 1.0 and not x[1:].any()
-        x2, _, _ = qrk_step(dm, b, np.zeros(4), Fraction(1, 2), _FixedU(0.99))
-        assert x2[1] == 1.0 and x2[0] == 0.0
+        rows = set()
+        for seed in range(10):
+            trace = _one_step((dm, b), "qrk", seed, "zero", q=Fraction(1, 2))
+            assert trace.admissible_sizes[0] == 2
+            assert trace.quantiles_q[0] == 1.0
+            i = 0 if _uniforms(seed, 1)[0] < 0.5 else 1
+            assert trace.chosen_indices[0] == i
+            np.testing.assert_array_equal(trace.final_x, np.eye(4)[i])
+            rows.add(i)
+        assert rows == {0, 1}
 
 
 class TestSelectInBand:
@@ -306,6 +308,32 @@ class TestRunTrace:
             t_full.residual_norms, t_inc.residual_norms, rtol=1e-9
         )
         np.testing.assert_allclose(t_full.final_x, t_inc.final_x, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["qrk", "dqrk"])
+    def test_incremental_drift_bound_is_relative(self, method):
+        # Corruption of scale 1e6 drifts the incremental residual by a few
+        # 1e-9 per 1000 steps: rounding at the size of b, which an absolute
+        # bound of 1e-9 used to reject.  It must pick what the full path does.
+        prob = generate(
+            GenSpec(m=1000, n=200, beta=Fraction(1, 20), corruption_scale=1e6, seed=3)
+        )
+        levels = {"q": Fraction(4, 5), "q0": Fraction(3, 5) if method == "dqrk" else None}
+        full = SolverConfig(method=method, iterations=3000, seed=3, **levels)
+        inc = SolverConfig(
+            method=method, iterations=3000, seed=3, residual_mode="incremental", **levels
+        )
+        t_full, t_inc = run(prob, full), run(prob, inc)
+        np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
+        np.testing.assert_allclose(t_full.residual_norms, t_inc.residual_norms, rtol=1e-12)
+
+    def test_drift_past_the_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_DRIFT_SLACK", 0.0)
+        cfg = SolverConfig(
+            method="qrk", q=Fraction(4, 5), iterations=300, seed=9,
+            residual_mode="incremental", resync_every=100,
+        )
+        with pytest.raises(ResidualDriftError):
+            run(_problem(m=50, n=5, seed=21), cfg)
 
     def test_rk_converges_on_consistent_system(self):
         prob = _problem(beta=Fraction(0), scale=0.0, noise_stddev=0.0, m=100, n=10)
