@@ -13,6 +13,14 @@ two must agree to 1e-12 relative to the natural term scale of the
 expression; disagreement raises, since the forms are algebraically
 identical.  Multi-term sums go through compensated summation.
 
+Every qrk/dqrk decay constant has one shape, C = p * lead - factor *
+fsum(terms): the lead carries the subset minima, the penalty the
+corruption, and the condition C > 0 is rearranged as lhs < rhs.  One
+table, ``_PENALTIES``, holds the three penalties (original, alternative,
+horizon): each one's factor, its terms in (p, r) form and raw, and its
+condition-lhs terms in both forms.  One evaluator, ``_decay``, reads it
+for all eight certificates; qrk is dqrk with q - q0 read as q.
+
 Condition certification is directional.  Conditions have the shape
 ``lhs < rhs`` where rhs grows with the subset minimum singular value.
 A sampled subset minimum only overestimates the true one, so in sampled
@@ -22,14 +30,16 @@ failed inequality is a genuine failure.  Only exact mode certifies true.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from .linalg import (
     DenseMatrix,
     SigmaQMinResult,
+    as_level,
     feasible_level,
     frobenius_sq,
     sigma_q_min_exact,
@@ -143,13 +153,8 @@ def robust_params(
     the double-quantile variant beta < q0 < q with q - q0 > beta.
     """
 
-    def as_frac(v):
-        if isinstance(v, float):
-            return Fraction(v).limit_denominator(10**6)
-        return Fraction(v)
-
-    b, qq = as_frac(beta), as_frac(q)
-    q0q = None if q0 is None else as_frac(q0)
+    b, qq = as_level(beta), as_level(q)
+    q0q = None if q0 is None else as_level(q0)
     if not 0 <= b < qq <= 1:
         raise InvalidRegimeError(f"need 0 <= beta < q <= 1, got beta={b}, q={qq}")
     if qq + b >= 1:
@@ -253,10 +258,6 @@ def _need(summary: SpectralSummary, *, q0: bool = False) -> None:
         raise ValueError("summary lacks the subset minimum at level q0 - beta")
 
 
-def _fl(x) -> float:
-    return float(x)
-
-
 def rk_horizon(
     summary: SpectralSummary,
     eta_plus_xi: np.ndarray,
@@ -290,14 +291,145 @@ def rk_horizon(
     )
 
 
-def _qrk_corruption_terms(summary: SpectralSummary, params: RobustParams):
-    """The (2*sqrt(r) + r) pressure term in rewritten and raw form."""
-    r = _fl(params.r)
-    rewritten = math.fsum([2.0 * math.sqrt(r), r])
-    b, q = _fl(params.beta), _fl(params.q)
-    slack = _fl(1 - params.q - params.beta)
-    raw = math.fsum([2.0 * math.sqrt(b) / math.sqrt(slack), b / slack])
-    return rewritten, raw
+def _floats(summary: SpectralSummary, params: RobustParams, dq: bool) -> SimpleNamespace:
+    """The floats every qrk/dqrk constant reads, from one (summary, params).
+
+    ``gap``/``top`` are q and q - beta for qrk, q - q0 and q - q0 - beta for dqrk;
+    ``cond`` scales the condition lhs: 1/p for qrk, q/top for dqrk.  ``rm``,
+    ``rr`` and ``rs`` are the square roots of m, r and 1 - q - beta.
+    """
+    f = SimpleNamespace(
+        m=summary.m, q=float(params.q), b=float(params.beta), p=float(params.p), r=float(params.r),
+        sM=summary.sigma_max, sM2=summary.sigma_max**2, sq2=summary.sigma_q_beta_min.value ** 2,
+        slack=float(1 - params.q - params.beta),
+    )
+    f.rm, f.rr, f.rs = math.sqrt(f.m), math.sqrt(f.r), math.sqrt(f.slack)
+    if dq:
+        f.q0 = float(params.q0)
+        f.gap = float(params.q - params.q0)
+        f.top = float(params.q - params.q0 - params.beta)
+        f.cond = f.q / f.top
+    else:
+        f.gap, f.top, f.cond = f.q, float(params.q - params.beta), 1.0 / f.p
+    if summary.sigma_q0_beta_min is not None:
+        f.sq02 = summary.sigma_q0_beta_min.value ** 2
+    return f
+
+
+# Penalty name -> functions of the shared floats giving (factor, terms, raw
+# terms, condition-lhs terms, raw condition-lhs terms).  Raw terms are
+# written in beta and 1 - q - beta where the others use r.
+_PRESSURE = (
+    lambda f: [2.0 * f.rr, f.r],
+    lambda f: [2.0 * math.sqrt(f.b) / f.rs, f.b / f.slack],
+)
+_PENALTIES = {
+    "original": (lambda f: f.sM2 / (f.gap * f.m), *_PRESSURE, *_PRESSURE),
+    "alternative": (
+        lambda f: 1.0 / f.gap,
+        lambda f: [f.b, 2.0 * f.sM2 * f.r / f.m],
+        lambda f: [f.b, 2.0 * f.sM2 * f.b / (f.m * f.slack)],
+        lambda f: [f.b * f.m / f.sM2, 2.0 * f.r],
+        lambda f: [f.b * f.m / f.sM2, 2.0 * f.b / f.slack],
+    ),
+    "horizon": (
+        lambda f: 1.0 / f.gap,
+        lambda f: [f.b, 2.0 * f.sM2 * f.r / f.m, 4.0 * f.sM * math.sqrt(f.b * f.r) / f.rm],
+        lambda f: [f.b, 2.0 * f.sM2 * f.b / (f.m * f.slack), 4.0 * f.b * f.sM / (f.rm * f.rs)],
+        lambda f: [f.b * f.m / f.sM2, 2.0 * f.r, 4.0 * math.sqrt(f.b * f.m) * f.rr / f.sM],
+        lambda f: [f.b * f.m / f.sM2, 2.0 * f.b / f.slack, 4.0 * f.b * f.rm / (f.sM * f.rs)],
+    ),
+}
+
+
+def _penalty(f, name: str) -> float:
+    factor, terms = _PENALTIES[name][:2]
+    return factor(f) * math.fsum(terms(f))
+
+
+def _decay(f, name: str, q0_term: bool, what: str) -> tuple[float, float, float]:
+    """(C, condition_lhs, condition_rhs) for one penalty, C and lhs by both routes.
+
+    The lead carries the subset minimum at q - beta and, if ``q0_term``, at q0 - beta.
+    """
+    factor, _, raw, cond, cond_raw = _PENALTIES[name]
+    lead = [f.sq2 / (f.q * f.m)]
+    lead_raw = [f.top * f.sq2 / (f.gap * f.q * f.m)]
+    rhs = [f.sq2 / f.sM2]
+    if q0_term:
+        lead.append(f.sq02 / (f.q0 * f.m) / (f.q * f.m))
+        lead_raw.append(f.top * f.sq02 / (f.gap * f.q0 * f.q * f.m * f.m))
+        rhs.append(f.sq02 / (f.sM2 * f.q0 * f.m))
+    press = _penalty(f, name)
+    c = math.fsum([f.p * math.fsum(lead), -press])
+    c_raw = math.fsum(lead_raw + [-factor(f) * math.fsum(raw(f))])
+    _agree(c, c_raw, f.p * math.fsum(lead) + press, f"{what} C")
+    lhs = f.cond * math.fsum(cond(f))
+    lhs_raw = (f.q / f.top) * math.fsum(cond_raw(f))
+    _agree(lhs, lhs_raw, abs(lhs), f"{what} condition lhs")
+    return c, lhs, math.fsum(rhs)
+
+
+def _kind(params: RobustParams, dq: bool) -> None:
+    if dq and params.q0 is None:
+        raise InvalidRegimeError("dqrk bounds need double-quantile params")
+    if not dq and params.q0 is not None:
+        raise InvalidRegimeError("qrk bounds take single-quantile params")
+
+
+def _certificate(
+    summary: SpectralSummary, params: RobustParams, penalty: str, dq: bool, name: str,
+    *, eta_inf: float | None = None, flags: dict | None = None,
+) -> BoundRecord:
+    """A decay-constant record, or for the horizon penalty an error horizon.
+
+    dqrk rates carry the q0 - beta lead term; horizons read only q - beta.
+    The horizon is (1/C)(2 r (1-q)/gap + 1) eta_inf^2, defined when C > 0.
+    """
+    horizon = penalty == "horizon"
+    q0_term = dq and not horizon
+    _need(summary, q0=q0_term)
+    _kind(params, dq)
+    if horizon and eta_inf < 0:
+        raise ValueError("eta_inf must be nonnegative")
+    f = _floats(summary, params, dq)
+    c, lhs, rhs = _decay(f, penalty, q0_term, name)
+    exact = summary.exactness(need_q0=q0_term)
+    verdict = _certify(lhs, rhs, exact)
+    values = {"C": c, "condition_lhs": lhs, "condition_rhs": rhs}
+    if horizon:
+        coef = 2.0 * f.r * (1.0 - f.q) / f.gap + 1.0
+        values = {"C": c, "coefficient": coef, "condition_lhs": lhs, "condition_rhs": rhs}
+        flags = {"non_positive_C": bool(c <= 0.0)}
+        if c > 0.0:
+            values["horizon"] = (coef / c) * eta_inf * eta_inf
+        if not dq and verdict is True and params.q > Fraction(1, 2):
+            flags["coefficient_below_two"] = bool(coef < 2.0)
+    return BoundRecord(
+        name=name,
+        values=values,
+        condition_satisfied=verdict,
+        condition_mode="exact" if exact else "sampled",
+        flags={} if flags is None else flags,
+    )
+
+
+def _comparison(summary: SpectralSummary, params: RobustParams, dq: bool) -> BoundRecord:
+    """alpha = 1 - p * lead + penalty for the alternative and original penalties."""
+    f = _floats(summary, params, dq)
+    if dq:
+        base = f.p * math.fsum([f.sq2 / (f.q * f.m), f.sq02 / (f.q0 * f.m * f.q * f.m)])
+    else:
+        base = f.p * f.sq2 / (f.q * f.m)
+    alpha1 = math.fsum([1.0, -base, _penalty(f, "alternative")])
+    alpha2 = math.fsum([1.0, -base, _penalty(f, "original")])
+    return BoundRecord(
+        name="dqrk_rate_comparison" if dq else "qrk_rate_comparison",
+        values={"alpha1": alpha1, "alpha2": alpha2},
+        condition_satisfied=_comparison_hypotheses(summary, params),
+        condition_mode="exact",
+        flags={"alpha1_lt_alpha2": bool(alpha1 < alpha2)},
+    )
 
 
 def qrk_rate_original(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
@@ -307,76 +439,20 @@ def qrk_rate_original(summary: SpectralSummary, params: RobustParams) -> BoundRe
     condition holds; C couples the subset minimum at level q - beta
     against the corruption pressure carried by sigma_max.
     """
-    _need(summary)
-    if params.q0 is not None:
-        raise InvalidRegimeError("qrk bounds take single-quantile params")
-    m = summary.m
-    q, b = _fl(params.q), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM2 = summary.sigma_max**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    kappa_hat_inv2 = sq2 / (q * m)
-
-    press, press_raw = _qrk_corruption_terms(summary, params)
-    c_rewritten = math.fsum([p * kappa_hat_inv2, -(sM2 / (q * m)) * press])
-    qb = _fl(params.q - params.beta)
-    c_raw = math.fsum([qb * sq2 / (q * q * m), -(sM2 / (q * m)) * press_raw])
-    scale = p * kappa_hat_inv2 + (sM2 / (q * m)) * press
-    _agree(c_rewritten, c_raw, scale, "qrk_rate_original C")
-
-    lhs = (1.0 / p) * press
-    lhs_raw = (q / qb) * press_raw
-    _agree(lhs, lhs_raw, abs(lhs), "qrk_rate_original condition lhs")
-    rhs = sq2 / sM2
-    exact = summary.exactness()
-    return BoundRecord(
-        name="qrk_rate_original",
-        values={"C": c_rewritten, "condition_lhs": lhs, "condition_rhs": rhs},
-        condition_satisfied=_certify(lhs, rhs, exact),
-        condition_mode="exact" if exact else "sampled",
-    )
+    return _certificate(summary, params, "original", False, "qrk_rate_original")
 
 
 def qrk_rate_alternative(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
     """Variant decay constant with a milder corruption penalty."""
-    _need(summary)
-    if params.q0 is not None:
-        raise InvalidRegimeError("qrk bounds take single-quantile params")
-    m = summary.m
-    q, b = _fl(params.q), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM2 = summary.sigma_max**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    kappa_hat_inv2 = sq2 / (q * m)
-
-    c_rewritten = math.fsum([p * kappa_hat_inv2, -(1.0 / q) * math.fsum([b, 2.0 * sM2 * r / m])])
-    qb = _fl(params.q - params.beta)
-    slack = _fl(1 - params.q - params.beta)
-    c_raw = math.fsum(
-        [qb * sq2 / (q * q * m), -(b / q) * math.fsum([1.0, 2.0 * sM2 / (m * slack)])]
-    )
-    scale = p * kappa_hat_inv2 + (1.0 / q) * (b + 2.0 * sM2 * r / m)
-    _agree(c_rewritten, c_raw, scale, "qrk_rate_alternative C")
-
-    lhs = (1.0 / p) * math.fsum([b * m / sM2, 2.0 * r])
-    lhs_raw = (q / qb) * math.fsum([b * m / sM2, 2.0 * b / slack])
-    _agree(lhs, lhs_raw, abs(lhs), "qrk_rate_alternative condition lhs")
-    rhs = sq2 / sM2
-    exact = summary.exactness()
-    return BoundRecord(
-        name="qrk_rate_alternative",
-        values={"C": c_rewritten, "condition_lhs": lhs, "condition_rhs": rhs},
-        condition_satisfied=_certify(lhs, rhs, exact),
-        condition_mode="exact" if exact else "sampled",
-    )
+    return _certificate(summary, params, "alternative", False, "qrk_rate_alternative")
 
 
 def _comparison_hypotheses(summary: SpectralSummary, params: RobustParams) -> bool:
     # r < 4 keeps the threshold denominator positive; past it the gate fails.
     if params.r >= 4:
         return False
-    b = _fl(params.beta)
-    slack = _fl(1 - params.q - params.beta)
+    b = float(params.beta)
+    slack = float(1 - params.q - params.beta)
     if b == 0.0:
         return False
     denom = 2.0 * math.sqrt(b) * math.sqrt(slack) - b
@@ -391,64 +467,7 @@ def compare_qrk_rates(summary: SpectralSummary, params: RobustParams) -> BoundRe
     penalty is strictly the smaller one, so alpha1 < alpha2.
     """
     _need(summary)
-    m = summary.m
-    q, b = _fl(params.q), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM2 = summary.sigma_max**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    base = p * sq2 / (q * m)
-    press, _ = _qrk_corruption_terms(summary, params)
-    alpha1 = math.fsum([1.0, -base, (1.0 / q) * math.fsum([b, 2.0 * sM2 * r / m])])
-    alpha2 = math.fsum([1.0, -base, (sM2 / (q * m)) * press])
-    hyp = _comparison_hypotheses(summary, params)
-    return BoundRecord(
-        name="qrk_rate_comparison",
-        values={"alpha1": alpha1, "alpha2": alpha2},
-        condition_satisfied=hyp,
-        condition_mode="exact",
-        flags={"alpha1_lt_alpha2": bool(alpha1 < alpha2)},
-    )
-
-
-def _qrk_horizon_c(summary: SpectralSummary, params: RobustParams) -> tuple[float, float, float]:
-    """(C, condition_lhs, scale) for the single-quantile horizon bound."""
-    m = summary.m
-    q, b = _fl(params.q), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM = summary.sigma_max
-    sM2 = sM**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    kappa_hat_inv2 = sq2 / (q * m)
-    penalty = math.fsum(
-        [b, 2.0 * sM2 * r / m, 4.0 * sM * math.sqrt(b * r) / math.sqrt(m)]
-    )
-    c_rewritten = math.fsum([p * kappa_hat_inv2, -(1.0 / q) * penalty])
-
-    qb = _fl(params.q - params.beta)
-    slack = _fl(1 - params.q - params.beta)
-    penalty_raw = math.fsum(
-        [
-            b,
-            2.0 * sM2 * b / (m * slack),
-            4.0 * b * sM / (math.sqrt(m) * math.sqrt(slack)),
-        ]
-    )
-    c_raw = math.fsum([qb * sq2 / (q * q * m), -(1.0 / q) * penalty_raw])
-    scale = p * kappa_hat_inv2 + (1.0 / q) * penalty
-    _agree(c_rewritten, c_raw, scale, "qrk_error_horizon C")
-
-    lhs = (1.0 / p) * math.fsum(
-        [b * m / sM2, 2.0 * r, 4.0 * math.sqrt(b * m) * math.sqrt(r) / sM]
-    )
-    lhs_raw = (q / qb) * math.fsum(
-        [
-            b * m / sM2,
-            2.0 * b / slack,
-            4.0 * b * math.sqrt(m) / (sM * math.sqrt(slack)),
-        ]
-    )
-    _agree(lhs, lhs_raw, abs(lhs), "qrk_error_horizon condition lhs")
-    return c_rewritten, lhs, scale
+    return _comparison(summary, params, False)
 
 
 def qrk_error_horizon(
@@ -458,30 +477,7 @@ def qrk_error_horizon(
 
     horizon = (1/C) * (2 r (1-q)/q + 1) * eta_inf^2, defined when C > 0.
     """
-    _need(summary)
-    if params.q0 is not None:
-        raise InvalidRegimeError("qrk bounds take single-quantile params")
-    if eta_inf < 0:
-        raise ValueError("eta_inf must be nonnegative")
-    c, lhs, _ = _qrk_horizon_c(summary, params)
-    rhs = summary.sigma_q_beta_min.value ** 2 / summary.sigma_max**2
-    exact = summary.exactness()
-    verdict = _certify(lhs, rhs, exact)
-    q, r = _fl(params.q), _fl(params.r)
-    coef = 2.0 * r * (1.0 - q) / q + 1.0
-    values = {"C": c, "coefficient": coef, "condition_lhs": lhs, "condition_rhs": rhs}
-    flags = {"non_positive_C": bool(c <= 0.0)}
-    if c > 0.0:
-        values["horizon"] = (coef / c) * eta_inf * eta_inf
-    if verdict is True and params.q > Fraction(1, 2):
-        flags["coefficient_below_two"] = bool(coef < 2.0)
-    return BoundRecord(
-        name="qrk_error_horizon",
-        values=values,
-        condition_satisfied=verdict,
-        condition_mode="exact" if exact else "sampled",
-        flags=flags,
-    )
+    return _certificate(summary, params, "horizon", False, "qrk_error_horizon", eta_inf=eta_inf)
 
 
 def qrk_general_horizon(
@@ -498,14 +494,10 @@ def qrk_general_horizon(
         raise InvalidRegimeError("beta*m + 1 exceeds the vector length")
     allowance = ordered_magnitude(eps, k + 1)
     record = qrk_error_horizon(summary, params, allowance)
-    values = dict(record.values)
-    values["noise_allowance"] = allowance
-    return BoundRecord(
+    return replace(
+        record,
         name="qrk_general_horizon",
-        values=values,
-        condition_satisfied=record.condition_satisfied,
-        condition_mode=record.condition_mode,
-        flags=dict(record.flags),
+        values={**record.values, "noise_allowance": allowance},
     )
 
 
@@ -523,15 +515,15 @@ def eh_comparison_condition(
         raise ZeroCorruptionError("epsilon is zero; the comparison is vacuous")
     if summary.sigma_min < RANK_TOLERANCE * summary.sigma_max:
         raise FullRankViolationError("comparison needs full column rank")
-    c, _, _ = _qrk_horizon_c(summary, params)
+    f = _floats(summary, params, False)
+    c = _decay(f, "horizon", False, "qrk_error_horizon")[0]
     if c <= 0.0:
         raise InvalidRegimeError("comparison requires C > 0")
     k = int(feasible_level(params.beta, eps.size) * eps.size)
     if k + 1 > eps.size:
         raise InvalidRegimeError("beta*m + 1 exceeds the vector length")
     lhs = ordered_magnitude(eps, k + 1) / top
-    q, r = _fl(params.q), _fl(params.r)
-    coef = 2.0 * r * (1.0 - q) / q + 1.0
+    coef = 2.0 * f.r * (1.0 - f.q) / f.q + 1.0
     rhs = math.sqrt(c * summary.m / (summary.sigma_min**2 * coef))
     exact = summary.exactness()
     return BoundRecord(
@@ -553,18 +545,14 @@ def timevar_constants(summary: SpectralSummary, params: RobustParams) -> BoundRe
     _need(summary)
     if params.beta == 0:
         raise InvalidRegimeError("time-varying constants need beta > 0")
-    m = summary.m
-    q, b = _fl(params.q), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM = summary.sigma_max
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    s = math.sqrt(_fl(1 - params.beta) / b)
-    kappa_hat_inv2 = sq2 / (q * m)
-    shared = (sM / (q * m)) * (1.0 / math.sqrt(b * m)) * math.fsum([r, r * r * s])
+    f = _floats(summary, params, False)
+    m, q, b, r = f.m, f.q, f.b, f.r
+    s = math.sqrt(float(1 - params.beta) / b)
+    shared = (f.sM / (q * m)) * (1.0 / math.sqrt(b * m)) * math.fsum([r, r * r * s])
     phi = math.fsum(
         [
-            kappa_hat_inv2 * p,
-            -(sM**2 / (q * m)) * math.fsum([2.0 * r * s, r * r * s * s]),
+            f.sq2 / (q * m) * f.p,
+            -(f.sM2 / (q * m)) * math.fsum([2.0 * r * s, r * r * s * s]),
             -shared,
         ]
     )
@@ -592,11 +580,11 @@ def timevar_side_conditions(
     """
     if params.beta == 0:
         raise InvalidRegimeError("time-varying conditions need beta > 0")
-    b = _fl(params.beta)
-    slack = _fl(1 - params.q - params.beta)
+    b = float(params.beta)
+    slack = float(1 - params.q - params.beta)
     first = summary.m < (
         1.0 / (4.0 * math.sqrt(b) * math.sqrt(slack))
-        + math.sqrt(_fl(1 - params.beta)) / (4.0 * math.sqrt(slack) ** 3)
+        + math.sqrt(float(1 - params.beta)) / (4.0 * math.sqrt(slack) ** 3)
     )
     if params.r >= 1:
         return first, False
@@ -617,10 +605,10 @@ def qrask_coefficient_comparison(
     if params.beta == 0:
         raise InvalidRegimeError("the comparison needs beta > 0")
     m, n = summary.m, summary.n
-    q, b = _fl(params.q), _fl(params.beta)
-    r = _fl(params.r)
+    q, b = float(params.q), float(params.beta)
+    r = float(params.r)
     sM = summary.sigma_max
-    slack = _fl(1 - params.q - params.beta)
+    slack = float(1 - params.q - params.beta)
     ours = 2.0 * r * (1.0 - q) / q + 1.0
     ratio_term = 0.5 * math.fsum([r * (1.0 - b) ** 2 / (q * slack), 1.0])
     qrask = math.fsum(
@@ -644,46 +632,7 @@ def qrask_coefficient_comparison(
 
 def dqrk_rate_original(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
     """Per-step decay constant of the double-quantile solver."""
-    _need(summary, q0=True)
-    if params.q0 is None:
-        raise InvalidRegimeError("dqrk bounds need double-quantile params")
-    m = summary.m
-    q, q0, b = _fl(params.q), _fl(params.q0), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM2 = summary.sigma_max**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    sq02 = summary.sigma_q0_beta_min.value ** 2
-    gap = _fl(params.q - params.q0)
-    kappa_hat_inv2 = sq2 / (q * m)
-    kappa0_hat_inv2 = sq02 / (q0 * m)
-
-    press, press_raw = _qrk_corruption_terms(summary, params)
-    c_rewritten = math.fsum(
-        [
-            p * math.fsum([kappa_hat_inv2, kappa0_hat_inv2 / (q * m)]),
-            -(sM2 / (gap * m)) * press,
-        ]
-    )
-    top = _fl(params.q - params.q0 - params.beta)
-    c_raw = math.fsum(
-        [
-            top * sq2 / (gap * q * m),
-            top * sq02 / (gap * q0 * q * m * m),
-            -(sM2 / (gap * m)) * press_raw,
-        ]
-    )
-    scale = p * (kappa_hat_inv2 + kappa0_hat_inv2 / (q * m)) + (sM2 / (gap * m)) * press
-    _agree(c_rewritten, c_raw, scale, "dqrk_rate_original C")
-
-    lhs = (q / top) * press
-    rhs = math.fsum([sq2 / sM2, sq02 / (sM2 * q0 * m)])
-    exact = summary.exactness(need_q0=True)
-    return BoundRecord(
-        name="dqrk_rate_original",
-        values={"C": c_rewritten, "condition_lhs": lhs, "condition_rhs": rhs},
-        condition_satisfied=_certify(lhs, rhs, exact),
-        condition_mode="exact" if exact else "sampled",
-    )
+    return _certificate(summary, params, "original", True, "dqrk_rate_original")
 
 
 def dqrk_rate_alternative(
@@ -698,78 +647,15 @@ def dqrk_rate_alternative(
     the row hyperplanes; pass what is known about that so the record can
     carry it.
     """
-    _need(summary, q0=True)
-    if params.q0 is None:
-        raise InvalidRegimeError("dqrk bounds need double-quantile params")
-    m = summary.m
-    q, q0, b = _fl(params.q), _fl(params.q0), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM2 = summary.sigma_max**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    sq02 = summary.sigma_q0_beta_min.value ** 2
-    gap = _fl(params.q - params.q0)
-    top = _fl(params.q - params.q0 - params.beta)
-    slack = _fl(1 - params.q - params.beta)
-    kappa_hat_inv2 = sq2 / (q * m)
-    kappa0_hat_inv2 = sq02 / (q0 * m)
-
-    c_rewritten = math.fsum(
-        [
-            p * math.fsum([kappa_hat_inv2, kappa0_hat_inv2 / (q * m)]),
-            -(1.0 / gap) * math.fsum([b, 2.0 * sM2 * r / m]),
-        ]
-    )
-    c_raw = math.fsum(
-        [
-            top * sq2 / (gap * q * m),
-            top * sq02 / (gap * q0 * q * m * m),
-            -(1.0 / gap) * math.fsum([b, 2.0 * sM2 * b / (m * slack)]),
-        ]
-    )
-    scale = p * (kappa_hat_inv2 + kappa0_hat_inv2 / (q * m)) + (1.0 / gap) * (
-        b + 2.0 * sM2 * r / m
-    )
-    _agree(c_rewritten, c_raw, scale, "dqrk_rate_alternative C")
-
-    lhs = (q / top) * math.fsum([b * m / sM2, 2.0 * r])
-    rhs = math.fsum([sq2 / sM2, sq02 / (sM2 * q0 * m)])
-    exact = summary.exactness(need_q0=True)
-    flags = {}
-    if x0_on_hyperplane is not None:
-        flags["x0_on_hyperplane"] = bool(x0_on_hyperplane)
-    return BoundRecord(
-        name="dqrk_rate_alternative",
-        values={"C": c_rewritten, "condition_lhs": lhs, "condition_rhs": rhs},
-        condition_satisfied=_certify(lhs, rhs, exact),
-        condition_mode="exact" if exact else "sampled",
-        flags=flags,
-    )
+    flags = {} if x0_on_hyperplane is None else {"x0_on_hyperplane": bool(x0_on_hyperplane)}
+    return _certificate(summary, params, "alternative", True, "dqrk_rate_alternative", flags=flags)
 
 
 def compare_dqrk_rates(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
     """Head-to-head of the two dqrk decay factors, same gate as qrk."""
     _need(summary, q0=True)
-    if params.q0 is None:
-        raise InvalidRegimeError("dqrk bounds need double-quantile params")
-    m = summary.m
-    q, q0, b = _fl(params.q), _fl(params.q0), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM2 = summary.sigma_max**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    sq02 = summary.sigma_q0_beta_min.value ** 2
-    gap = _fl(params.q - params.q0)
-    base = p * math.fsum([sq2 / (q * m), sq02 / (q0 * m * q * m)])
-    press, _ = _qrk_corruption_terms(summary, params)
-    alpha1 = math.fsum([1.0, -base, (1.0 / gap) * math.fsum([b, 2.0 * sM2 * r / m])])
-    alpha2 = math.fsum([1.0, -base, (sM2 / (gap * m)) * press])
-    hyp = _comparison_hypotheses(summary, params)
-    return BoundRecord(
-        name="dqrk_rate_comparison",
-        values={"alpha1": alpha1, "alpha2": alpha2},
-        condition_satisfied=hyp,
-        condition_mode="exact",
-        flags={"alpha1_lt_alpha2": bool(alpha1 < alpha2)},
-    )
+    _kind(params, True)
+    return _comparison(summary, params, True)
 
 
 def dqrk_error_horizon(
@@ -780,54 +666,7 @@ def dqrk_error_horizon(
     The per-step contraction here induces the plateau
     (1/C)(2 r (1-q)/(q-q0) + 1) eta_inf^2, defined when C > 0.
     """
-    _need(summary)
-    if params.q0 is None:
-        raise InvalidRegimeError("dqrk bounds need double-quantile params")
-    if eta_inf < 0:
-        raise ValueError("eta_inf must be nonnegative")
-    m = summary.m
-    q, b = _fl(params.q), _fl(params.beta)
-    p, r = _fl(params.p), _fl(params.r)
-    sM = summary.sigma_max
-    sM2 = sM**2
-    sq2 = summary.sigma_q_beta_min.value ** 2
-    gap = _fl(params.q - params.q0)
-    top = _fl(params.q - params.q0 - params.beta)
-    slack = _fl(1 - params.q - params.beta)
-    kappa_hat_inv2 = sq2 / (q * m)
-    penalty = math.fsum(
-        [b, 2.0 * sM2 * r / m, 4.0 * sM * math.sqrt(b * r) / math.sqrt(m)]
-    )
-    c_rewritten = math.fsum([p * kappa_hat_inv2, -(1.0 / gap) * penalty])
-    penalty_raw = math.fsum(
-        [
-            b,
-            2.0 * sM2 * b / (m * slack),
-            4.0 * b * sM / (math.sqrt(m) * math.sqrt(slack)),
-        ]
-    )
-    c_raw = math.fsum([top * sq2 / (gap * q * m), -(1.0 / gap) * penalty_raw])
-    scale = p * kappa_hat_inv2 + (1.0 / gap) * penalty
-    _agree(c_rewritten, c_raw, scale, "dqrk_error_horizon C")
-
-    lhs = (q / top) * math.fsum(
-        [b * m / sM2, 2.0 * r, 4.0 * math.sqrt(b * m) * math.sqrt(r) / sM]
-    )
-    rhs = sq2 / sM2
-    exact = summary.exactness()
-    verdict = _certify(lhs, rhs, exact)
-    coef = 2.0 * r * (1.0 - q) / gap + 1.0
-    values = {"C": c_rewritten, "coefficient": coef, "condition_lhs": lhs, "condition_rhs": rhs}
-    flags = {"non_positive_C": bool(c_rewritten <= 0.0)}
-    if c_rewritten > 0.0:
-        values["horizon"] = (coef / c_rewritten) * eta_inf * eta_inf
-    return BoundRecord(
-        name="dqrk_error_horizon",
-        values=values,
-        condition_satisfied=verdict,
-        condition_mode="exact" if exact else "sampled",
-        flags=flags,
-    )
+    return _certificate(summary, params, "horizon", True, "dqrk_error_horizon", eta_inf=eta_inf)
 
 
 @dataclass(frozen=True)

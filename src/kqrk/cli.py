@@ -41,6 +41,7 @@ from .linalg import (
     NonIntegerQuantileError,
     TooManySubsetsError,
     ZeroRowError,
+    as_level,
     snap_level,
 )
 from .problems import (
@@ -136,7 +137,7 @@ def _conv_str(s: str) -> str:
 
 def _conv_level(s: str) -> Fraction:
     # accepts decimals ("0.05") and explicit rationals ("1/20")
-    return Fraction(s)
+    return as_level(s)
 
 
 def _conv_bool(s: str) -> bool:

@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * A quantile level ``q`` is an exact rational.  For a multiset of ``m``
   values, ``q*m`` must be an integer ``k``, and the q-quantile is the k-th
   smallest element counted with multiplicity.  There is no interpolation;
-  an infeasible level is an error.  Float levels are accepted only when
-  they sit within a tiny snap window of a feasible rational (callers that
-  want rounding-to-feasible use :func:`snap_level`).
+  an infeasible level is an error (callers that want rounding-to-feasible
+  use :func:`snap_level`).  One rule, :func:`as_level`, turns any input
+  into a level: a float is the decimal it prints as (0.8 is 4/5, exactly
+  as the text "0.8" is), anything else is ``Fraction(v)``.
 
 * ``sigma_q_min(A)`` is the minimum, over all row subsets of size ``q*m``,
   of the smallest singular value of the subset matrix (as an operator from
@@ -44,6 +45,7 @@ __all__ = [
     "SvdConvergenceError",
     "TooManySubsetsError",
     "row_normalize",
+    "as_level",
     "snap_level",
     "feasible_level",
     "quantile",
@@ -54,7 +56,6 @@ __all__ = [
 ]
 
 SUBSET_ENUMERATION_CAP = 2_000_000
-FLOAT_LEVEL_TOLERANCE = 1e-9
 UNIT_ROW_TOLERANCE = 1e-12
 # Subset minima are computed in chunks of at most this many bytes of
 # per-subset work arrays, whatever the subset count.
@@ -152,11 +153,21 @@ def row_normalize(a: DenseMatrix | np.ndarray) -> tuple[DenseMatrix, np.ndarray]
     return DenseMatrix(data / norms[:, None], row_normalized=True), norms
 
 
+def as_level(v: float | Fraction | int | str) -> Fraction:
+    """A level as an exact rational.
+
+    A float becomes ``Fraction(repr(v))``, the decimal it prints as, so
+    0.8 is 4/5 just as the text "0.8" is, and 0.1 + 0.7 is
+    0.7999999999999999.  Anything else becomes ``Fraction(v)``.
+    """
+    return Fraction(repr(float(v))) if isinstance(v, float) else Fraction(v)
+
+
 def snap_level(q: float | Fraction, m: int) -> Fraction:
     """Nearest rational k/m to ``q`` with integer k clamped to [0, m]."""
     if m < 1:
         raise ValueError("m must be positive")
-    k = round(Fraction(q) * m)
+    k = round(as_level(q) * m)
     k = min(max(k, 0), m)
     return Fraction(k, m)
 
@@ -169,30 +180,20 @@ def feasible_level(
 ) -> Fraction:
     """Validate that ``q*m`` is an integer and return ``q`` as a Fraction.
 
-    Rational inputs are checked exactly.  Float inputs are accepted when
-    they lie within ``FLOAT_LEVEL_TOLERANCE * m`` of a feasible rational
-    (so 0.8 means 4/5 even though the binary float is not exactly 4/5);
-    anything further off raises :class:`NonIntegerQuantileError`.
-    ``lowest`` is the smallest admissible count q*m.
+    ``q`` is read by :func:`as_level` and checked exactly, so 0.8 is 4/5
+    while 0.1 + 0.7 (0.7999999999999999) is not a level for any m; an
+    infeasible level raises :class:`NonIntegerQuantileError` naming the
+    nearest feasible one.  ``lowest`` is the smallest admissible count q*m.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if isinstance(q, float):
-        scaled = q * m
-        k = round(scaled)
-        if abs(scaled - k) > FLOAT_LEVEL_TOLERANCE * max(1, m):
-            raise NonIntegerQuantileError(
-                f"q*m must be an integer; q = {q!r} gives q*m = {scaled!r} "
-                f"(nearest feasible q = {float(snap_level(q, m)):.6g})"
-            )
-    else:
-        frac = Fraction(q)
-        if (frac * m).denominator != 1:
-            raise NonIntegerQuantileError(
-                f"q*m must be an integer; q = {frac} gives q*m = {frac * m} "
-                f"(nearest feasible q = {snap_level(frac, m)})"
-            )
-        k = int(frac * m)
+    frac = as_level(q)
+    if (frac * m).denominator != 1:
+        raise NonIntegerQuantileError(
+            f"q*m must be an integer; q = {q} gives q*m = {frac * m} "
+            f"(nearest feasible q = {snap_level(frac, m)})"
+        )
+    k = int(frac * m)
     if k < lowest or k > m:
         raise NonIntegerQuantileError(
             f"q*m = {k} outside the admissible range [{lowest}, {m}]"

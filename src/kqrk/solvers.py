@@ -171,18 +171,24 @@ class HorizonEstimate:
 
 def _unpack(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, CorruptedProblem | None, bool]:
     if isinstance(problem, CorruptedProblem):
-        return (
+        unpacked = (
             problem.system.data,
             problem.b,
             problem.x_star,
             problem,
             problem.system.row_normalized,
         )
-    a, b = problem
-    if isinstance(a, DenseMatrix):
-        return a.data, np.asarray(b, dtype=np.float64), None, None, a.row_normalized
-    a = np.asarray(a, dtype=np.float64)
-    return a, np.asarray(b, dtype=np.float64), None, None, False
+    else:
+        a, b = problem
+        unit_rows = isinstance(a, DenseMatrix) and a.row_normalized
+        a = a.data if isinstance(a, DenseMatrix) else np.asarray(a, dtype=np.float64)
+        unpacked = (a, np.asarray(b, dtype=np.float64), None, None, unit_rows)
+    a, b = unpacked[:2]
+    if a.ndim != 2 or b.shape != (a.shape[0],):
+        raise ValueError(f"A must be 2-D with one entry of b per row; got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
+    return unpacked
 
 
 def _row_sq_norms(a: np.ndarray, unit_rows: bool) -> np.ndarray:
@@ -305,7 +311,8 @@ def run(problem, config: SolverConfig) -> RunTrace:
 
     Deterministic for fixed (problem, config): randomness comes from two
     streams split off config.seed, one for initialization and one for row
-    selection, with all selection uniforms drawn up front.
+    selection, with all selection uniforms drawn up front.  A and b must
+    be finite, with one entry of b per row of A; otherwise ValueError.
     """
     a, b, x_star, corrupted, unit_rows = _unpack(problem)
     m, n = a.shape

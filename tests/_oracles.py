@@ -170,6 +170,51 @@ def mp_dqrk_horizon(m, beta, q0, q, smax_sq, sq_sq, eta_inf):
     return c, coef, horizon
 
 
+def mp_dqrk_alphas(m, beta, q0, q, smax_sq, sq_sq, sq0_sq):
+    b, q0q, qq = _f(beta), _f(q0), _f(q)
+    slack = 1 - qq - b
+    r = b / slack
+    gap = qq - q0q
+    top = qq - q0q - b
+    base = top * _f(sq_sq) / (gap * qq * m) + top * _f(sq0_sq) / (gap * q0q * qq * m * m)
+    alpha1 = 1 - base + (b + 2 * _f(smax_sq) * r / m) / gap
+    alpha2 = 1 - base + _f(smax_sq) / (gap * m) * (2 * mp.sqrt(r) + r)
+    return alpha1, alpha2
+
+
+# Condition sides from the raw definitions: multiplying C by the positive
+# gap q m / (sigma_max^2 top), with gap = q and top = q - beta for qrk and
+# gap = q - q0 and top = q - q0 - beta for dqrk, turns C > 0 into lhs < rhs.
+
+
+def _condition_terms(kind, m, b, qq, smax_sq):
+    slack = 1 - qq - b
+    sM2 = _f(smax_sq)
+    if kind == "original":
+        return 2 * mp.sqrt(b) / mp.sqrt(slack) + b / slack
+    terms = b * m / sM2 + 2 * b / slack
+    if kind == "horizon":
+        terms += 4 * b * mp.sqrt(m) / (mp.sqrt(sM2) * mp.sqrt(slack))
+    return terms
+
+
+def mp_qrk_condition(kind, m, beta, q, smax_sq, sq_sq):
+    """(lhs, rhs) of qrk_rate_original/alternative or qrk_error_horizon."""
+    b, qq = _f(beta), _f(q)
+    lhs = qq / (qq - b) * _condition_terms(kind, m, b, qq, smax_sq)
+    return lhs, _f(sq_sq) / _f(smax_sq)
+
+
+def mp_dqrk_condition(kind, m, beta, q0, q, smax_sq, sq_sq, sq0_sq):
+    """(lhs, rhs) of dqrk_rate_original/alternative or dqrk_error_horizon."""
+    b, q0q, qq = _f(beta), _f(q0), _f(q)
+    lhs = qq / (qq - q0q - b) * _condition_terms(kind, m, b, qq, smax_sq)
+    rhs = _f(sq_sq) / _f(smax_sq)
+    if kind != "horizon":
+        rhs += _f(sq0_sq) / (_f(smax_sq) * q0q * m)
+    return lhs, rhs
+
+
 def mp_timevar(m, beta, q, smax_sq, sq_sq):
     b, qq = _f(beta), _f(q)
     slack = 1 - qq - b

@@ -34,12 +34,15 @@ from kqrk.solvers import InvalidRegimeError
 
 from _oracles import (
     mp_close,
+    mp_dqrk_alphas,
     mp_dqrk_c_alternative,
     mp_dqrk_c_original,
+    mp_dqrk_condition,
     mp_dqrk_horizon,
     mp_qrk_alphas,
     mp_qrk_c_alternative,
     mp_qrk_c_original,
+    mp_qrk_condition,
     mp_qrk_horizon,
     mp_rk,
     mp_timevar,
@@ -64,6 +67,14 @@ def _summary(m, n, smax_sq, sq_sq, sq0_sq=None, smin_sq=None, exact=True):
         sigma_q_beta_min=SigmaQMinResult(math.sqrt(sq_sq), mode, subs, flag),
         sigma_q0_beta_min=sq0,
     )
+
+
+def _assert_condition_sides(rec, lhs, rhs):
+    """Both sides match the oracle, and lhs < rhs exactly when C > 0."""
+    assert mp_close(rec.value("condition_lhs"), lhs, 0.0), rec.name
+    assert mp_close(rec.value("condition_rhs"), rhs, 0.0), rec.name
+    if abs(lhs - rhs) > 1e-9 * rhs:
+        assert (rec.value("C") > 0) == (lhs < rhs), rec.name
 
 
 def _random_regimes(count, seed, with_q0=False):
@@ -108,6 +119,9 @@ class TestRobustParams:
             Fraction(1, 20), Fraction(4, 5)
         )
         assert robust_params(0.05, 0.8, 0.6).q0 == Fraction(3, 5)
+
+    def test_floats_are_read_as_printed(self):
+        assert robust_params(0.3333333, Fraction(1, 2)).beta == Fraction(3333333, 10**7)
 
     def test_zero_corruption_allowed(self):
         p = robust_params(0, Fraction(1, 2))
@@ -266,6 +280,19 @@ class TestQrkOracleAgreement:
                 rec.value("alpha1") < rec.value("alpha2")
             )
 
+    def test_condition_sides(self):
+        evaluators = {
+            "original": qrk_rate_original,
+            "alternative": qrk_rate_alternative,
+            "horizon": lambda s, params: qrk_error_horizon(s, params, 1.0),
+        }
+        for m, b, q, _, smax_sq, sq_sq, _ in _random_regimes(50, seed=10):
+            s = _summary(m, 3, smax_sq, sq_sq)
+            for kind, op in evaluators.items():
+                rec = op(s, robust_params(b, q))
+                lhs, rhs = mp_qrk_condition(kind, m, b, q, smax_sq, sq_sq)
+                _assert_condition_sides(rec, lhs, rhs)
+
     def test_timevar(self):
         for m, b, q, _, smax_sq, sq_sq, _ in _random_regimes(50, seed=5):
             if b == 0:
@@ -338,6 +365,32 @@ class TestDqrkOracleAgreement:
             assert mp_close(rec.value("coefficient"), coef, float(coef))
             if horizon is not None:
                 assert mp_close(rec.value("horizon"), horizon, float(horizon))
+
+    def test_condition_sides(self):
+        evaluators = {
+            "original": dqrk_rate_original,
+            "alternative": dqrk_rate_alternative,
+            "horizon": lambda s, params: dqrk_error_horizon(s, params, 1.0),
+        }
+        for m, b, q, q0, smax_sq, sq_sq, sq0_sq in _random_regimes(
+            30, seed=11, with_q0=True
+        ):
+            s = _summary(m, 3, smax_sq, sq_sq, sq0_sq=sq0_sq)
+            for kind, op in evaluators.items():
+                rec = op(s, robust_params(b, q, q0))
+                lhs, rhs = mp_dqrk_condition(kind, m, b, q0, q, smax_sq, sq_sq, sq0_sq)
+                _assert_condition_sides(rec, lhs, rhs)
+
+    def test_alpha_comparison(self):
+        for m, b, q, q0, smax_sq, sq_sq, sq0_sq in _random_regimes(
+            30, seed=12, with_q0=True
+        ):
+            s = _summary(m, 3, smax_sq, sq_sq, sq0_sq=sq0_sq)
+            rec = compare_dqrk_rates(s, robust_params(b, q, q0))
+            a1, a2 = mp_dqrk_alphas(m, b, q0, q, smax_sq, sq_sq, sq0_sq)
+            scale = 1.0 + abs(float(a1)) + abs(float(a2))
+            assert mp_close(rec.value("alpha1"), a1, scale)
+            assert mp_close(rec.value("alpha2"), a2, scale)
 
     def test_alphas_are_one_minus_c(self):
         for m, b, q, q0, smax_sq, sq_sq, sq0_sq in _random_regimes(

@@ -235,6 +235,16 @@ class TestBounds:
         assert rc == 2
         assert "--sigma-mode sampled:N instead" in capsys.readouterr().err
 
+    def test_decimal_and_rational_levels_write_the_same_report(self, tmp_path):
+        bundle = _gen(tmp_path, m=10, n=2, beta="1/10", scale="20")
+        reports = []
+        for q, q0 in (("0.8", "0.6"), ("4/5", "3/5")):
+            out = tmp_path / f"report_{q.replace('/', '_')}.json"
+            argv = ["bounds", "--problem", str(bundle), "--q", q, "--q0", q0, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_bad_sigma_mode(self, tmp_path, capsys):
         bundle = _gen(tmp_path, m=12, n=2)
         rc = main(

@@ -24,6 +24,7 @@ from kqrk.linalg import (
     NonIntegerQuantileError,
     TooManySubsetsError,
     ZeroRowError,
+    as_level,
     feasible_level,
     frobenius_sq,
     quantile,
@@ -101,6 +102,20 @@ class TestLevels:
             feasible_level(Fraction(1, 3), 10)
         with pytest.raises(NonIntegerQuantileError):
             feasible_level(Fraction(11, 10), 10)
+
+    def test_float_level_is_the_decimal_it_prints_as(self):
+        assert as_level(0.8) == Fraction(4, 5) == as_level("0.8")
+        assert as_level(np.float64(0.05)) == Fraction(1, 20)
+        assert as_level(0.1 + 0.7) == Fraction(7999999999999999, 10**16)
+        assert as_level("1/20") == Fraction(1, 20)
+        assert as_level(Fraction(1, 3)) == Fraction(1, 3)
+        assert as_level(1) == Fraction(1)
+
+    @pytest.mark.parametrize("q,m,nearest", [(0.1 + 0.7, 10, "4/5"), (0.3333333, 3, "1/3")])
+    def test_feasible_rejects_floats_off_the_grid(self, q, m, nearest):
+        with pytest.raises(NonIntegerQuantileError) as err:
+            feasible_level(q, m)
+        assert f"nearest feasible q = {nearest})" in str(err.value)
 
     @given(st.integers(1, 200), st.integers(0, 200))
     def test_snap_always_feasible(self, m, num):

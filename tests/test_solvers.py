@@ -434,6 +434,32 @@ class TestConfigValidation:
         with pytest.raises(InvalidSpecError):
             SolverConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "method,levels",
+        [
+            ("rk", {}),
+            ("qrk", {"q": Fraction(4, 5)}),
+            ("qrk", {"q": Fraction(4, 5), "residual_mode": "incremental", "resync_every": 10}),
+        ],
+        ids=["rk", "qrk", "qrk-incremental"],
+    )
+    @pytest.mark.parametrize(
+        "defect,message",
+        [("nan_b", "finite"), ("inf_a", "finite"), ("short_b", "one entry of b per row")],
+    )
+    def test_bad_system_rejected_at_run(self, method, levels, defect, message):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((20, 3))
+        b = rng.standard_normal(20)
+        if defect == "nan_b":
+            b[7] = np.nan
+        elif defect == "inf_a":
+            a[3, 1] = np.inf
+        else:
+            b = b[:-1]
+        with pytest.raises(ValueError, match=message):
+            run((a, b), SolverConfig(method=method, iterations=50, **levels))
+
     def test_empty_band_rejected_at_run(self):
         prob = _problem()
         cfg = SolverConfig(method="dqrk", q=Fraction(3, 5), q0=Fraction(3, 5), iterations=1)
