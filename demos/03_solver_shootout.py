@@ -39,7 +39,7 @@ for cfg in configs:
     traces[cfg.method] = trace
     plateau = horizon_estimate(trace, window=100)
     print(f"{cfg.method:>5}: final |x - x*|^2 = {trace.sq_errors[-1]:.3e}   "
-          f"plateau over last {plateau.window} states = {plateau.value:.3e}   "
+          f"plateau over last 100 states = {plateau:.3e}   "
           f"admissible set size = {int(trace.admissible_sizes[0])}")
 
 # With eta = 0 and sparse corruption the quantile methods recover x*

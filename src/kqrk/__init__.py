@@ -5,79 +5,33 @@ huge corruption, using randomized row-projection methods that discard the
 worst residuals each step (rk, qrk, dqrk).  Alongside the solvers it
 evaluates the convergence and error-horizon guarantees for concrete
 instances and ships the reproducible experiments comparing the methods.
+
+The names below are the ones the demos and the README use; everything
+else is imported from its submodule (``kqrk.linalg``, ``kqrk.problems``,
+``kqrk.solvers``, ``kqrk.bounds``, ``kqrk.experiments``,
+``kqrk.serialize``).
 """
 from .linalg import (
-    DenseMatrix,
     MultisetQuantileSpec,
     NonIntegerQuantileError,
     SigmaQMinResult,
-    ZeroRowError,
     feasible_level,
-    frobenius_sq,
     quantile,
     row_normalize,
     sigma_q_min_exact,
     sigma_q_min_sampled,
-    singular_extremes,
     snap_level,
 )
-from .problems import (
-    CorruptedProblem,
-    GenSpec,
-    InvalidSpecError,
-    canonical_decomposition,
-    generate,
-    ordered_magnitude,
-)
-from .solvers import (
-    EmptyAdmissibleSetError,
-    HorizonEstimate,
-    InvalidRegimeError,
-    RunTrace,
-    SolverConfig,
-    WindowTooLargeError,
-    horizon_estimate,
-    quantile_diagnostic,
-    run,
-)
+from .problems import GenSpec, canonical_decomposition, generate
+from .solvers import SolverConfig, horizon_estimate, run
 from .bounds import (
-    BoundRecord,
-    BoundReport,
-    FullRankViolationError,
-    RobustParams,
     SpectralSummary,
-    ZeroCorruptionError,
     build_report,
-    compare_dqrk_rates,
-    compare_qrk_rates,
-    dqrk_error_horizon,
-    dqrk_rate_alternative,
-    dqrk_rate_original,
-    eh_comparison_condition,
-    qrask_coefficient_comparison,
-    qrk_error_horizon,
-    qrk_general_horizon,
-    qrk_rate_alternative,
     qrk_rate_original,
-    rk_horizon,
     robust_params,
     spectral_summary,
-    timevar_constants,
-    timevar_side_conditions,
 )
-from .experiments import (
-    ExperimentResult,
-    ExperimentSpec,
-    desk_profile,
-    emit,
-    fig3_trend,
-    load_result,
-    paper_profile,
-    run_experiment,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-)
+from .experiments import ExperimentSpec, emit, fig3_trend, load_result, run_experiment
 from .serialize import load_problem, save_problem
 
 __version__ = "0.1.0"
@@ -85,72 +39,35 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # linalg
-    "DenseMatrix",
     "MultisetQuantileSpec",
     "NonIntegerQuantileError",
     "SigmaQMinResult",
-    "ZeroRowError",
     "feasible_level",
-    "frobenius_sq",
     "quantile",
     "row_normalize",
     "sigma_q_min_exact",
     "sigma_q_min_sampled",
-    "singular_extremes",
     "snap_level",
     # problems
-    "CorruptedProblem",
     "GenSpec",
-    "InvalidSpecError",
     "canonical_decomposition",
     "generate",
-    "ordered_magnitude",
     # solvers
-    "EmptyAdmissibleSetError",
-    "HorizonEstimate",
-    "InvalidRegimeError",
-    "RunTrace",
     "SolverConfig",
-    "WindowTooLargeError",
     "horizon_estimate",
-    "quantile_diagnostic",
     "run",
     # bounds
-    "BoundRecord",
-    "BoundReport",
-    "FullRankViolationError",
-    "RobustParams",
     "SpectralSummary",
-    "ZeroCorruptionError",
     "build_report",
-    "compare_dqrk_rates",
-    "compare_qrk_rates",
-    "dqrk_error_horizon",
-    "dqrk_rate_alternative",
-    "dqrk_rate_original",
-    "eh_comparison_condition",
-    "qrask_coefficient_comparison",
-    "qrk_error_horizon",
-    "qrk_general_horizon",
-    "qrk_rate_alternative",
     "qrk_rate_original",
-    "rk_horizon",
     "robust_params",
     "spectral_summary",
-    "timevar_constants",
-    "timevar_side_conditions",
     # experiments
-    "ExperimentResult",
     "ExperimentSpec",
-    "desk_profile",
     "emit",
     "fig3_trend",
     "load_result",
-    "paper_profile",
     "run_experiment",
-    "run_fig1",
-    "run_fig2",
-    "run_fig3",
     # serialize
     "load_problem",
     "save_problem",

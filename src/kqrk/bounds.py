@@ -148,8 +148,8 @@ def robust_params(
 ) -> RobustParams:
     """Validate the regime and derive (p, r) exactly.
 
-    Floats are interpreted as the nearest rational with denominator up to
-    10^6 (so 0.8 means 4/5).  Requires 0 <= beta < q < 1 - beta, and for
+    Levels are read by ``as_level``: a float is the decimal it prints as
+    (so 0.8 means 4/5).  Requires 0 <= beta < q < 1 - beta, and for
     the double-quantile variant beta < q0 < q with q - q0 > beta.
     """
 
@@ -509,6 +509,7 @@ def eh_comparison_condition(
     Verdict: eps_(beta*m+1) / eps_(1) < sqrt(C m / (sigma_min^2 coef)).
     """
     _need(summary)
+    _kind(params, False)
     eps = np.asarray(epsilon, dtype=np.float64).ravel()
     top = ordered_magnitude(eps, 1)
     if top == 0.0:

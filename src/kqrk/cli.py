@@ -435,7 +435,6 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
 
 
 _EXPERIMENT_OPTS = [
-    Opt("profile", _conv_str, help="desk|paper (default desk)"),
     Opt("m", _conv_int),
     Opt("n", _conv_int),
     Opt("beta", _conv_level),
@@ -475,16 +474,10 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     opt = resolve_opts(ns, _EXPERIMENT_OPTS)
     figure = ns.figure
-    profile = opt["profile"] or ("desk" if not ns.paper else "paper")
     if ns.desk and ns.paper:
         raise UsageError("--desk and --paper are mutually exclusive")
-    if ns.paper:
-        profile = "paper"
-    if ns.desk:
-        profile = "desk"
-    if profile not in ("desk", "paper"):
-        raise UsageError(f"unknown profile {profile!r}")
-    factory = desk_profile if profile == "desk" else paper_profile
+    profile = "paper" if ns.paper else "desk"
+    factory = paper_profile if ns.paper else desk_profile
     overrides = {
         field: opt[key]
         for key, field in _EXPERIMENT_FIELD_MAP.items()
@@ -636,7 +629,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a packaged experiment")
     p_exp.add_argument("figure", choices=("fig1", "fig2", "fig3"))
-    p_exp.add_argument("--desk", action="store_true", help="desk-scale profile")
+    p_exp.add_argument("--desk", action="store_true", help="desk-scale profile (default)")
     p_exp.add_argument("--paper", action="store_true", help="full-scale profile")
     _add_opts(p_exp, _EXPERIMENT_OPTS)
     p_exp.set_defaults(func=cmd_experiment)

@@ -22,7 +22,12 @@ on r_i = b_i - <a_i, x>, and fills the residual norms afterwards by one
 b - A X product per block of ``RK_BLOCK`` stored iterates.  qrk and dqrk
 rank the full residual b - A x, one gemv per step into buffers made once
 per run, or with ``residual_mode="incremental"`` update it by rows of
-the Gram matrix A A^T, re-synced every ``resync_every`` steps.
+the Gram matrix A A^T, re-synced every ``RESYNC_EVERY`` steps.
+
+The quantile ceilings of the paper's analysis are evaluated after the
+run: ``quantile_bounds`` maps a trace's squared errors to the sparse and
+noisy ceilings, and ``quantile_diagnostic`` checks one iterate against
+them.  ``horizon_estimate`` reads the squared-error plateau of a trace.
 
 Band selection on unit rows sorts a copy of the keys and returns the
 row a stable argsort would put at the chosen rank, so ties go to the
@@ -44,13 +49,13 @@ __all__ = [
     "METHODS",
     "SolverConfig",
     "RunTrace",
-    "HorizonEstimate",
     "EmptyAdmissibleSetError",
     "WindowTooLargeError",
     "InvalidRegimeError",
     "ResidualDriftError",
     "run",
     "horizon_estimate",
+    "quantile_bounds",
     "quantile_diagnostic",
 ]
 
@@ -58,6 +63,8 @@ METHODS = ("rk", "qrk", "dqrk")
 
 # Safety factor on the drift bound derived in _drift_tolerance.
 RESIDUAL_DRIFT_SLACK = 2
+# Steps between exact residual resyncs in residual_mode="incremental".
+RESYNC_EVERY = 1000
 RK_BLOCK = 64
 DEFAULT_HORIZON_WINDOW = 100
 
@@ -88,7 +95,7 @@ class SolverConfig:
     hyperplane, the dqrk default), or an explicit start vector.
     ``residual_mode`` "incremental" makes qrk/dqrk maintain the residual
     with rank-one updates against a cached Gram matrix, re-synced every
-    ``resync_every`` steps and checked against full recomputation; rk
+    ``RESYNC_EVERY`` steps and checked against full recomputation; rk
     never forms the residual, so the mode does not apply to it.
     ``stop_below`` ends the run early once the squared error against the
     known solution drops under the threshold (trace arrays shrink to the
@@ -101,9 +108,7 @@ class SolverConfig:
     iterations: int = 10_000
     seed: int = 0
     x0: str | np.ndarray = "default"
-    record_diagnostics: bool = False
     residual_mode: str = "full"
-    resync_every: int = 1_000
     stop_below: float | None = None
 
     def __post_init__(self) -> None:
@@ -121,8 +126,6 @@ class SolverConfig:
             raise InvalidSpecError("q is only meaningful for qrk/dqrk")
         if self.residual_mode not in ("full", "incremental"):
             raise InvalidSpecError(f"unknown residual_mode {self.residual_mode!r}")
-        if self.resync_every < 1:
-            raise InvalidSpecError("resync_every must be positive")
         if self.stop_below is not None and not self.stop_below > 0:
             raise InvalidSpecError("stop_below must be positive when set")
         if isinstance(self.x0, str):
@@ -141,8 +144,7 @@ class RunTrace:
     All per-state arrays have length iterations + 1, index 0 being the
     initial state; ``chosen_indices`` has length iterations (the row used
     to move from state k to state k+1).  Quantile arrays are None for rk.
-    ``sq_errors`` is None when the true solution is unknown.  Diagnostic
-    bound arrays are present only when requested at run time.
+    ``sq_errors`` is None when the true solution is unknown.
     """
 
     method: str
@@ -153,36 +155,25 @@ class RunTrace:
     sq_errors: np.ndarray | None = None
     quantiles_q0: np.ndarray | None = None
     quantiles_q: np.ndarray | None = None
-    quantile_bound_sparse: np.ndarray | None = None
-    quantile_bound_noisy: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
         return len(self.chosen_indices)
 
 
-@dataclass(frozen=True)
-class HorizonEstimate:
-    """Empirical squared-error plateau: max over the last `window` states."""
-
-    value: float
-    window: int
-
-
-def _unpack(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, CorruptedProblem | None, bool]:
+def _unpack(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
     if isinstance(problem, CorruptedProblem):
         unpacked = (
             problem.system.data,
             problem.b,
             problem.x_star,
-            problem,
             problem.system.row_normalized,
         )
     else:
         a, b = problem
         unit_rows = isinstance(a, DenseMatrix) and a.row_normalized
         a = a.data if isinstance(a, DenseMatrix) else np.asarray(a, dtype=np.float64)
-        unpacked = (a, np.asarray(b, dtype=np.float64), None, None, unit_rows)
+        unpacked = (a, np.asarray(b, dtype=np.float64), None, unit_rows)
     a, b = unpacked[:2]
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"A must be 2-D with one entry of b per row; got {a.shape} and {b.shape}")
@@ -244,20 +235,19 @@ def _select_in_band(
     return i, float(s[k_lo - 1]), float(s[k_hi - 1])
 
 
-def _resolve_counts(method: str, q, q0, m: int) -> tuple[int, int, Fraction | None]:
-    """(k_lo, k_hi, q as a level): the band of ranks [k_lo, k_hi) to pick from."""
+def _resolve_counts(method: str, q, q0, m: int) -> tuple[int, int]:
+    """(k_lo, k_hi): the band of ranks [k_lo, k_hi) to pick from."""
     if method == "rk":
-        return 0, m, None
-    level_q = feasible_level(q, m, lowest=1)
-    k_hi = int(level_q * m)
+        return 0, m
+    k_hi = int(feasible_level(q, m, lowest=1) * m)
     if method == "qrk":
-        return 0, k_hi, level_q
+        return 0, k_hi
     k_lo = int(feasible_level(q0, m, lowest=1) * m)
     if not k_lo < k_hi:
         raise EmptyAdmissibleSetError(
             f"q0*m = {k_lo} must be smaller than q*m = {k_hi}"
         )
-    return k_lo, k_hi, level_q
+    return k_lo, k_hi
 
 
 def _initial_x(
@@ -314,19 +304,11 @@ def run(problem, config: SolverConfig) -> RunTrace:
     selection, with all selection uniforms drawn up front.  A and b must
     be finite, with one entry of b per row of A; otherwise ValueError.
     """
-    a, b, x_star, corrupted, unit_rows = _unpack(problem)
+    a, b, x_star, unit_rows = _unpack(problem)
     m, n = a.shape
     big_k = config.iterations
     row_sq = _row_sq_norms(a, unit_rows)
-    k_lo, k_hi, level_q = _resolve_counts(config.method, config.q, config.q0, m)
-
-    diag = None
-    if config.record_diagnostics:
-        if corrupted is None:
-            raise InvalidSpecError("diagnostics require a CorruptedProblem")
-        if config.method not in ("qrk", "dqrk"):
-            raise InvalidSpecError("diagnostics require a quantile method")
-        diag = _bound_terms(corrupted, level_q)
+    k_lo, k_hi = _resolve_counts(config.method, config.q, config.q0, m)
 
     init_ss, sel_ss = np.random.SeedSequence(config.seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
@@ -417,11 +399,11 @@ def run(problem, config: SolverConfig) -> RunTrace:
                 np.multiply(gram[i], coeff, out=keys)  # keys is free until next step
                 np.subtract(r, keys, out=r)
                 xsq_peak = max(xsq_peak, float(x @ x))
-                if (k + 1) % config.resync_every == 0:
+                if (k + 1) % RESYNC_EVERY == 0:
                     exact = b - a @ x
                     drift = float(np.max(np.abs(r - exact)))
                     tol = _drift_tolerance(
-                        config.resync_every, n, rho, b_inf, a_max * math.sqrt(xsq_peak)
+                        RESYNC_EVERY, n, rho, b_inf, a_max * math.sqrt(xsq_peak)
                     )
                     if drift > tol:
                         msg = f"incremental residual drifted by {drift:.3e} (bound {tol:.3e})"
@@ -430,12 +412,6 @@ def run(problem, config: SolverConfig) -> RunTrace:
                     xsq_peak = float(x @ x)
 
     states = slice(last + 1)
-    bound_sparse = bound_noisy = None
-    if diag is not None:
-        sigma_max, denom, noise_term = diag
-        bound_sparse = sigma_max * np.sqrt(sq_errors[states]) / (math.sqrt(m) * denom)
-        bound_noisy = bound_sparse + noise_term
-
     return RunTrace(
         method=config.method,
         residual_norms=np.sqrt(residual_sq[states]),
@@ -445,15 +421,27 @@ def run(problem, config: SolverConfig) -> RunTrace:
         sq_errors=None if sq_errors is None else sq_errors[states],
         quantiles_q0=None if quants_lo is None else quants_lo[states],
         quantiles_q=None if quants_hi is None else quants_hi[states],
-        quantile_bound_sparse=bound_sparse,
-        quantile_bound_noisy=bound_noisy,
     )
 
 
-def _bound_terms(
-    problem: CorruptedProblem, level: Fraction, sigma_max: float | None = None
-) -> tuple[float, float, float]:
-    """(sigma_max, denominator, noise term) of the quantile ceilings at level q."""
+def quantile_bounds(
+    problem: CorruptedProblem,
+    q: Fraction | float,
+    sq_errors,
+    *,
+    sigma_max: float | None = None,
+) -> tuple:
+    """The sparse and noisy ceilings on the q-quantile residual.
+
+    For iterates at squared error ``sq_errors`` (a number or an array,
+    e.g. a trace's ``sq_errors``) the sparse ceiling is
+    sigma_max |x - x*| / sqrt(m (1 - q - beta)), which holds when the
+    noise is zero; the noisy ceiling adds
+    sqrt(1 - q) |eta|_inf / sqrt(1 - q - beta) and holds in general.
+    Returns (sparse, noisy).  Requires q < 1 - beta for the realized
+    corruption level beta.
+    """
+    level = feasible_level(q, problem.m, lowest=1)
     beta = problem.minimal_beta()
     if level >= 1 - beta:
         raise InvalidRegimeError(
@@ -463,10 +451,11 @@ def _bound_terms(
         sigma_max, _ = singular_extremes(problem.system)
     denom = math.sqrt(float(1 - level - beta))
     eta_inf = float(np.max(np.abs(problem.eta))) if problem.eta.size else 0.0
-    return sigma_max, denom, math.sqrt(float(1 - level)) * eta_inf / denom
+    sparse = sigma_max * np.sqrt(sq_errors) / (math.sqrt(problem.m) * denom)
+    return sparse, sparse + math.sqrt(float(1 - level)) * eta_inf / denom
 
 
-def horizon_estimate(trace: RunTrace, window: int = DEFAULT_HORIZON_WINDOW) -> HorizonEstimate:
+def horizon_estimate(trace: RunTrace, window: int = DEFAULT_HORIZON_WINDOW) -> float:
     """Max squared error over the last `window` recorded states."""
     if trace.sq_errors is None:
         raise ValueError("trace has no squared errors (unknown true solution)")
@@ -476,7 +465,7 @@ def horizon_estimate(trace: RunTrace, window: int = DEFAULT_HORIZON_WINDOW) -> H
         raise WindowTooLargeError(
             f"window {window} exceeds trace length {len(trace.sq_errors)}"
         )
-    return HorizonEstimate(float(np.max(trace.sq_errors[-window:])), window)
+    return float(np.max(trace.sq_errors[-window:]))
 
 
 def quantile_diagnostic(
@@ -493,15 +482,11 @@ def quantile_diagnostic(
     adds the noise allowance and applies in general.  Requires
     q < 1 - beta for the realized corruption level beta.
     """
-    m = problem.m
-    level = feasible_level(q, m, lowest=1)
-    sigma_max, denom, noise_term = _bound_terms(problem, level, sigma_max)
-    r = problem.b - problem.system.data @ x_k
-    keys = np.abs(r)
+    d = x_k - problem.x_star
+    bound_sparse, bound_noisy = quantile_bounds(problem, q, d @ d, sigma_max=sigma_max)
+    keys = np.abs(problem.b - problem.system.data @ x_k)
     if not problem.system.row_normalized:
         keys = keys / _row_sq_norms(problem.system.data, False)
-    k = int(level * m)
+    k = int(feasible_level(q, problem.m, lowest=1) * problem.m)
     q_obs = float(np.partition(keys, k - 1)[k - 1])
-    err = float(np.linalg.norm(x_k - problem.x_star))
-    bound_sparse = sigma_max * err / (math.sqrt(m) * denom)
-    return q_obs, bound_sparse, bound_sparse + noise_term
+    return q_obs, float(bound_sparse), float(bound_noisy)

@@ -27,7 +27,7 @@ from kqrk.bounds import (
     robust_params,
     spectral_summary,
 )
-from kqrk.experiments import desk_profile, fig3_trend, run_fig1, run_fig2, run_fig3
+from kqrk.experiments import desk_profile, fig3_trend, run_experiment
 from kqrk.linalg import (
     DenseMatrix,
     SigmaQMinResult,
@@ -36,7 +36,7 @@ from kqrk.linalg import (
     sigma_q_min_sampled,
 )
 from kqrk.problems import CorruptedProblem, GenSpec, generate
-from kqrk.solvers import SolverConfig, horizon_estimate, run
+from kqrk.solvers import SolverConfig, horizon_estimate, quantile_bounds, run
 
 
 def _verdict(tag: str, detail: str, t0: float, budget: float | None = None) -> None:
@@ -107,7 +107,7 @@ def test_c02_sparse_corruption_exact_recovery():
             if trace.sq_errors[-1] < tol:
                 good[kw["method"]] += 1
         rk = run(problem, SolverConfig(method="rk", iterations=cap, seed=1000 + seed))
-        plateau = horizon_estimate(rk, 100).value
+        plateau = horizon_estimate(rk, 100)
         rk_floor = min(rk_floor, plateau)
         assert plateau > 1e-2, (seed, plateau)
     assert good["qrk"] >= 9, good
@@ -128,7 +128,7 @@ def test_c03_corrupted_horizon_separation():
     ratios = []
     for seed in range(10):
         spec = desk_profile("fig2", seed=seed, ensembles=("gaussian",))
-        h = run_fig2(spec, threads=3).horizons["gaussian"]
+        h = run_experiment(spec, threads=3).horizons["gaussian"]
         ratios.append(h["rk"] / max(h["qrk"], h["dqrk"]))
         if h["qrk"] <= h["rk"] / 100 and h["dqrk"] <= h["rk"] / 100:
             wins += 1
@@ -148,7 +148,7 @@ def test_c04_noise_only_horizon_parity():
     spreads = []
     for seed in range(10):
         spec = desk_profile("fig1", seed=seed, ensembles=("gaussian",))
-        h = run_fig1(spec, threads=3).horizons["gaussian"]
+        h = run_experiment(spec, threads=3).horizons["gaussian"]
         vals = [h["rk"], h["qrk"], h["dqrk"]]
         spread = max(vals) / min(vals)
         spreads.append(spread)
@@ -167,7 +167,7 @@ def test_c05_scale_sweep_trend():
     """rk's plateau tracks corruption magnitude; dqrk's stays flat."""
     t0 = time.perf_counter()
     spec = desk_profile("fig3")  # scales (1, 3, 10, 30, 100), 15 trials
-    trend = fig3_trend(run_fig3(spec, threads=4))
+    trend = fig3_trend(run_experiment(spec, threads=4))
     rho = trend["spearman_scale_rk_horizon"]
     flat = trend["dqrk_horizon_max_min_ratio"]
     assert rho >= 0.9, trend
@@ -339,16 +339,16 @@ def test_c09_quantile_bound_dominates_observed():
                 q=Q,
                 iterations=iters,
                 seed=7000 + gspec.seed,
-                record_diagnostics=True,
             ),
         )
+        _, bound_noisy = quantile_bounds(problem, Q, trace.sq_errors)
         # The computed residual of a converged iterate cannot drop below
         # the roundoff of evaluating b - Ax (about an ulp of b's entries),
         # while the bound keeps shrinking with the true error.  An
         # absolute floor at that resolution joins the relative tolerance;
         # both are orders below any quantile seen away from convergence.
         atol = 64 * np.finfo(np.float64).eps * max(1.0, float(np.abs(problem.b).max()))
-        over = np.sum(trace.quantiles_q > trace.quantile_bound_noisy * (1 + 1e-12) + atol)
+        over = np.sum(trace.quantiles_q > bound_noisy * (1 + 1e-12) + atol)
         assert int(over) == 0, (gspec.m, gspec.seed, int(over))
         states += len(trace.quantiles_q)
     _verdict("c09", f"0 violations across {states} recorded states on 6 full runs", t0)
@@ -423,7 +423,7 @@ def test_c11_horizon_bound_validity():
                     ),
                 ),
                 100,
-            ).value
+            )
             for seed in range(20)
         ]
         mean_limit = float(np.mean(limits))

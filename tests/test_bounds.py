@@ -635,6 +635,18 @@ class TestEhComparison:
         with pytest.raises(InvalidRegimeError):
             eh_comparison_condition(s, params, np.ones(20))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_double_quantile_params_rejected(self, seed):
+        # The comparison reads qrk's horizon; dqrk params are a regime
+        # error, as for every other qrk certificate.
+        rng = np.random.default_rng(seed)
+        a = DenseMatrix(rng.standard_normal((12, 3)))
+        params = robust_params(Fraction(1, 12), Fraction(3, 4), Fraction(5, 12))
+        eps = rng.standard_normal(12)
+        eps[0] = 50.0
+        with pytest.raises(InvalidRegimeError, match="single-quantile"):
+            eh_comparison_condition(spectral_summary(a, params), params, eps)
+
 
 class TestReport:
     def _inputs(self):

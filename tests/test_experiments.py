@@ -15,9 +15,6 @@ from kqrk.experiments import (
     load_result,
     paper_profile,
     run_experiment,
-    run_fig1,
-    run_fig2,
-    run_fig3,
 )
 from kqrk.linalg import NonIntegerQuantileError
 from kqrk.problems import GenSpec, InvalidSpecError, generate
@@ -102,7 +99,7 @@ class TestSpec:
 class TestCurveFigures:
     def test_structure_and_horizons(self):
         spec = _spec("fig1")
-        result = run_fig1(spec)
+        result = run_experiment(spec)
         assert set(result.curves) == {"gaussian", "uniform"}
         for ens in spec.ensembles:
             assert set(result.curves[ens]) == {"rk", "qrk", "dqrk"}
@@ -113,7 +110,7 @@ class TestCurveFigures:
                 assert result.horizons[ens][meth] == expected
 
     def test_methods_share_problem_within_ensemble(self):
-        result = run_fig1(_spec("fig1"))
+        result = run_experiment(_spec("fig1"))
         for ens in ("gaussian", "uniform"):
             per = result.curves[ens]
             # rk and qrk both start from zero, on the same instance
@@ -121,8 +118,8 @@ class TestCurveFigures:
         assert result.curves["gaussian"]["rk"][0] != result.curves["uniform"]["rk"][0]
 
     def test_fig2_scale_zero_reduces_to_fig1(self, tmp_path):
-        r1 = run_fig1(_spec("fig1"))
-        r2 = run_fig2(_spec("fig2", corruption_scale=0.0))
+        r1 = run_experiment(_spec("fig1"))
+        r2 = run_experiment(_spec("fig2", corruption_scale=0.0))
         for ens in ("gaussian", "uniform"):
             for meth in ("rk", "qrk", "dqrk"):
                 np.testing.assert_array_equal(
@@ -136,32 +133,16 @@ class TestCurveFigures:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_fig2_corruption_changes_curves(self):
-        r0 = run_fig2(_spec("fig2", corruption_scale=0.0))
-        r100 = run_fig2(_spec("fig2", corruption_scale=100.0))
+        r0 = run_experiment(_spec("fig2", corruption_scale=0.0))
+        r100 = run_experiment(_spec("fig2", corruption_scale=100.0))
         assert not np.array_equal(
             r0.curves["gaussian"]["rk"], r100.curves["gaussian"]["rk"]
         )
 
-    def test_figure_mismatch_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            run_fig1(_spec("fig2"))
-        with pytest.raises(InvalidSpecError):
-            run_fig2(_spec("fig1"))
-        with pytest.raises(InvalidSpecError):
-            run_fig3(_spec("fig1"))
-
-    def test_dispatch(self):
-        spec = _spec("fig1", ensembles=("gaussian",), methods=("rk",))
-        direct = run_fig1(spec)
-        routed = run_experiment(spec)
-        np.testing.assert_array_equal(
-            direct.curves["gaussian"]["rk"], routed.curves["gaussian"]["rk"]
-        )
-
     def test_threads_do_not_change_results(self):
         spec = _spec("fig1")
-        serial = run_fig1(spec, threads=1)
-        pooled = run_fig1(spec, threads=4)
+        serial = run_experiment(spec, threads=1)
+        pooled = run_experiment(spec, threads=4)
         for ens in spec.ensembles:
             for meth in spec.methods:
                 np.testing.assert_array_equal(
@@ -174,7 +155,7 @@ class TestScatterFigure:
 
     def test_point_grid(self):
         spec = _spec("fig3", **self.SPEC)
-        result = run_fig3(spec)
+        result = run_experiment(spec)
         assert len(result.points) == 2 * 2 * 2  # scales x trials x methods
         key = [(p.scale, p.trial, p.method) for p in result.points]
         assert key == sorted(key, key=lambda t: (t[0], t[1], ("rk", "dqrk").index(t[2]) if t[2] != "qrk" else 1))
@@ -185,22 +166,22 @@ class TestScatterFigure:
         assert all(len(v) == 1 for v in by_cell.values())
 
     def test_fresh_problem_per_cell(self):
-        result = run_fig3(_spec("fig3", **self.SPEC))
+        result = run_experiment(_spec("fig3", **self.SPEC))
         ratios = {(p.scale, p.trial): p.ratio for p in result.points}
         assert len(set(ratios.values())) == len(ratios)
 
     def test_threads_do_not_change_points(self):
         spec = _spec("fig3", **self.SPEC)
-        assert run_fig3(spec, threads=1).points == run_fig3(spec, threads=3).points
+        assert run_experiment(spec, threads=1).points == run_experiment(spec, threads=3).points
 
     def test_trend_keys(self):
         spec = _spec("fig3", trials=3, scales=(1.0, 10.0, 100.0))
-        stats = fig3_trend(run_fig3(spec))
+        stats = fig3_trend(run_experiment(spec))
         assert -1.0 <= stats["spearman_scale_rk_horizon"] <= 1.0
         assert stats["dqrk_horizon_max_min_ratio"] >= 1.0
 
     def test_trend_needs_points(self):
-        result = run_fig1(_spec("fig1"))
+        result = run_experiment(_spec("fig1"))
         with pytest.raises(InvalidSpecError):
             fig3_trend(result)
 
@@ -238,13 +219,13 @@ class TestIdentifiabilityRatio:
 
 class TestEmission:
     def test_no_wall_clock_in_json(self):
-        result = run_fig1(_spec("fig1", ensembles=("gaussian",), methods=("rk",)))
+        result = run_experiment(_spec("fig1", ensembles=("gaussian",), methods=("rk",)))
         doc = result.to_dict()
         assert "wall_clock" not in json.dumps(doc)
         assert result.wall_clock > 0.0
 
     def test_reemit_byte_identical_curves(self, tmp_path):
-        result = run_fig1(_spec("fig1"))
+        result = run_experiment(_spec("fig1"))
         d1, d2 = tmp_path / "a", tmp_path / "b"
         names = [p.name for p in emit(result, d1)]
         assert names == [
@@ -259,7 +240,7 @@ class TestEmission:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_reemit_byte_identical_scatter(self, tmp_path):
-        result = run_fig3(_spec("fig3", trials=2, scales=(1.0, 10.0)))
+        result = run_experiment(_spec("fig3", trials=2, scales=(1.0, 10.0)))
         d1, d2 = tmp_path / "a", tmp_path / "b"
         names = [p.name for p in emit(result, d1)]
         assert names == ["data.csv", "plot.svg", "result.json"]
@@ -268,7 +249,7 @@ class TestEmission:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_scatter_csv_shape(self, tmp_path):
-        result = run_fig3(_spec("fig3", trials=2, scales=(1.0, 10.0)))
+        result = run_experiment(_spec("fig3", trials=2, scales=(1.0, 10.0)))
         emit(result, tmp_path, formats=("csv",))
         lines = (tmp_path / "data.csv").read_text().splitlines()
         assert lines[0] == "scale,trial,method,ratio,horizon"
@@ -276,14 +257,14 @@ class TestEmission:
 
     def test_curve_csv_columns_follow_method_order(self, tmp_path):
         spec = _spec("fig1", ensembles=("gaussian",), methods=("dqrk", "rk"))
-        emit(run_fig1(spec), tmp_path, formats=("csv",))
+        emit(run_experiment(spec), tmp_path, formats=("csv",))
         header = (tmp_path / "data_gaussian.csv").read_text().splitlines()[0]
         assert header == "k,rk,dqrk"
 
     def test_curve_csvs_parse_back_to_the_curves(self, tmp_path):
         # data.csv is the per-ensemble files, each row prefixed by its
         # ensemble, and every value reads back to the curve's float.
-        result = run_fig1(_spec("fig1"))
+        result = run_experiment(_spec("fig1"))
         emit(result, tmp_path, formats=("csv",))
         combined = (tmp_path / "data.csv").read_text().splitlines()
         assert combined[0] == "ensemble,k,rk,qrk,dqrk"
@@ -301,13 +282,13 @@ class TestEmission:
         assert body == []
 
     def test_unknown_format_rejected(self, tmp_path):
-        result = run_fig1(_spec("fig1", ensembles=("gaussian",), methods=("rk",)))
+        result = run_experiment(_spec("fig1", ensembles=("gaussian",), methods=("rk",)))
         with pytest.raises(InvalidSpecError):
             emit(result, tmp_path, formats=("csv", "pdf"))
 
     def test_loaded_spec_round_trips(self, tmp_path):
         spec = _spec("fig3", trials=2, scales=(1.0, 10.0))
-        result = run_fig3(spec)
+        result = run_experiment(spec)
         emit(result, tmp_path, formats=("json",))
         back = load_result(tmp_path / "result.json")
         assert back.spec == spec

@@ -10,13 +10,13 @@ from kqrk.linalg import DenseMatrix
 from kqrk.problems import GenSpec, InvalidSpecError, generate
 from kqrk.solvers import (
     EmptyAdmissibleSetError,
-    HorizonEstimate,
     InvalidRegimeError,
     ResidualDriftError,
     SolverConfig,
     WindowTooLargeError,
     _select_in_band,
     horizon_estimate,
+    quantile_bounds,
     quantile_diagnostic,
     run,
 )
@@ -328,12 +328,33 @@ class TestRunTrace:
 
     def test_drift_past_the_bound_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "RESIDUAL_DRIFT_SLACK", 0.0)
+        monkeypatch.setattr(solvers, "RESYNC_EVERY", 100)
         cfg = SolverConfig(
             method="qrk", q=Fraction(4, 5), iterations=300, seed=9,
-            residual_mode="incremental", resync_every=100,
+            residual_mode="incremental",
         )
         with pytest.raises(ResidualDriftError):
             run(_problem(m=50, n=5, seed=21), cfg)
+
+    def test_resync_period_is_the_module_constant(self, monkeypatch):
+        # Every RESYNC_EVERY steps the incremental residual is checked
+        # against b - Ax over a window of that many steps, and replaced.
+        monkeypatch.setattr(solvers, "RESYNC_EVERY", 10)
+        windows = []
+        tolerance = solvers._drift_tolerance
+
+        def spy(steps, *args):
+            windows.append(steps)
+            return tolerance(steps, *args)
+
+        monkeypatch.setattr(solvers, "_drift_tolerance", spy)
+        prob = _problem(m=50, n=5, seed=21)
+        levels = dict(method="qrk", q=Fraction(4, 5), iterations=300, seed=9)
+        t_inc = run(prob, SolverConfig(residual_mode="incremental", **levels))
+        assert windows == [10] * 30
+        t_full = run(prob, SolverConfig(**levels))
+        np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
+        np.testing.assert_allclose(t_full.residual_norms, t_inc.residual_norms, rtol=1e-12)
 
     def test_rk_converges_on_consistent_system(self):
         prob = _problem(beta=Fraction(0), scale=0.0, noise_stddev=0.0, m=100, n=10)
@@ -424,7 +445,6 @@ class TestConfigValidation:
             {"method": "qrk", "q": 0.8, "q0": 0.5},
             {"method": "rk", "iterations": 0},
             {"method": "rk", "residual_mode": "lazy"},
-            {"method": "rk", "resync_every": 0},
             {"method": "rk", "stop_below": 0.0},
             {"method": "rk", "stop_below": -1.0},
             {"method": "rk", "x0": "center"},
@@ -439,7 +459,7 @@ class TestConfigValidation:
         [
             ("rk", {}),
             ("qrk", {"q": Fraction(4, 5)}),
-            ("qrk", {"q": Fraction(4, 5), "residual_mode": "incremental", "resync_every": 10}),
+            ("qrk", {"q": Fraction(4, 5), "residual_mode": "incremental"}),
         ],
         ids=["rk", "qrk", "qrk-incremental"],
     )
@@ -472,15 +492,13 @@ class TestHorizon:
         prob = _problem(m=30, n=3)
         trace = run(prob, SolverConfig(method="rk", iterations=50))
         est = horizon_estimate(trace, window=10)
-        assert isinstance(est, HorizonEstimate)
-        assert est.window == 10
-        assert est.value == float(np.max(trace.sq_errors[-10:]))
+        assert type(est) is float
+        assert est == float(np.max(trace.sq_errors[-10:]))
 
     def test_window_covers_whole_trace(self):
         prob = _problem(m=30, n=3)
         trace = run(prob, SolverConfig(method="rk", iterations=20))
-        est = horizon_estimate(trace, window=21)
-        assert est.value == float(np.max(trace.sq_errors))
+        assert horizon_estimate(trace, window=21) == float(np.max(trace.sq_errors))
 
     def test_window_too_large(self):
         prob = _problem(m=30, n=3)
@@ -498,38 +516,36 @@ class TestHorizon:
 class TestDiagnostics:
     def test_arrays_recorded(self):
         prob = _problem(m=60, n=4, beta=Fraction(1, 20), scale=50.0)
-        cfg = SolverConfig(
-            method="qrk", q=Fraction(4, 5), iterations=30, record_diagnostics=True
-        )
-        trace = run(prob, cfg)
-        assert trace.quantile_bound_sparse is not None
-        assert trace.quantile_bound_noisy is not None
-        assert len(trace.quantile_bound_noisy) == 31
-        assert np.all(trace.quantile_bound_noisy >= trace.quantile_bound_sparse)
+        cfg = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=30)
+        sparse, noisy = quantile_bounds(prob, Fraction(4, 5), run(prob, cfg).sq_errors)
+        assert len(sparse) == len(noisy) == 31
+        assert np.all(noisy >= sparse)
 
-    def test_requires_corrupted_problem(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((10, 2)), rng.standard_normal(10)
-        cfg = SolverConfig(
-            method="qrk", q=Fraction(4, 5), iterations=5, record_diagnostics=True
-        )
-        with pytest.raises(InvalidSpecError):
-            run((a, b), cfg)
-
-    def test_requires_quantile_method(self):
-        prob = _problem()
-        cfg = SolverConfig(method="rk", iterations=5, record_diagnostics=True)
-        with pytest.raises(InvalidSpecError):
-            run(prob, cfg)
+    def test_one_ceiling_two_entry_points(self):
+        # quantile_bounds over a trace and quantile_diagnostic on one of
+        # its iterates evaluate the same ceilings.  A run cut to k steps
+        # ends on state k of the longer run with the same seed.
+        prob = _problem(m=60, n=4, beta=Fraction(1, 20), scale=50.0, seed=8)
+        q = Fraction(4, 5)
+        trace = run(prob, SolverConfig(method="qrk", q=q, iterations=40, seed=3))
+        sparse, noisy = quantile_bounds(prob, q, trace.sq_errors)
+        for k in (1, 5, 17, 40):
+            x_k = run(prob, SolverConfig(method="qrk", q=q, iterations=k, seed=3)).final_x
+            d = x_k - prob.x_star
+            assert float(d @ d) == trace.sq_errors[k]
+            q_obs, d_sparse, d_noisy = quantile_diagnostic(x_k, prob, q)
+            assert d_sparse == pytest.approx(sparse[k], rel=1e-14, abs=0.0)
+            assert d_noisy == pytest.approx(noisy[k], rel=1e-14, abs=0.0)
+            assert q_obs == pytest.approx(trace.quantiles_q[k], rel=1e-12, abs=0.0)
 
     def test_regime_guard(self):
         # q >= 1 - beta is outside the bound's regime.
         prob = _problem(m=40, n=4, beta=Fraction(1, 4), scale=10.0)
-        cfg = SolverConfig(
-            method="qrk", q=Fraction(4, 5), iterations=5, record_diagnostics=True
-        )
+        trace = run(prob, SolverConfig(method="qrk", q=Fraction(4, 5), iterations=5))
         with pytest.raises(InvalidRegimeError):
-            run(prob, cfg)
+            quantile_bounds(prob, Fraction(4, 5), trace.sq_errors)
+        with pytest.raises(InvalidRegimeError):
+            quantile_diagnostic(trace.final_x, prob, Fraction(4, 5))
 
     def test_quantile_diagnostic_matches_trace(self):
         prob = _problem(m=60, n=4, beta=Fraction(1, 20), scale=50.0)
@@ -539,3 +555,11 @@ class TestDiagnostics:
         keys = np.abs(prob.b)
         assert q_obs == sort_quantile(keys, 48)
         assert b_noisy >= b_sparse > 0
+        # sigma_max |x - x*| / sqrt(m (1 - q - beta)), plus
+        # sqrt(1 - q) |eta|_inf / sqrt(1 - q - beta) for the noisy ceiling.
+        slack = 1 - 0.8 - np.count_nonzero(prob.xi) / prob.m
+        sigma_max = np.linalg.svd(prob.system.data, compute_uv=False)[0]
+        sparse = sigma_max * np.linalg.norm(prob.x_star) / np.sqrt(prob.m * slack)
+        noise = np.sqrt(0.2) * np.max(np.abs(prob.eta)) / np.sqrt(slack)
+        assert b_sparse == pytest.approx(sparse, rel=1e-12)
+        assert b_noisy == pytest.approx(sparse + noise, rel=1e-12)
