@@ -299,61 +299,73 @@ def _identifiability_ratio(problem: CorruptedProblem, q: Fraction) -> float:
     return top / denom
 
 
-def run_experiment(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
-    """Run the figure ``spec`` names: curves for fig1/fig2, points for fig3.
-
-    Every cell (ensemble, scale, trial) generates one problem and runs
-    each method on it.  fig1 (scale 0) and fig2 (corruption_scale) have
-    one cell per ensemble and run them in turn, the cell's methods shared
-    over ``threads``, so one problem is alive at a time; fig3 has one
-    cell per (scale, trial) and shares the cells over ``threads``.
-    """
+def _run_curves(spec: ExperimentSpec, scale: float, threads: int) -> ExperimentResult:
     t0 = time.perf_counter()
-    scatter = spec.figure == "fig3"
-    if scatter:
-        cells = [
-            (0, si, scale, trial)
-            for si, scale in enumerate(spec.scales)
-            for trial in range(spec.trials)
-        ]
-    else:
-        scale = spec.corruption_scale if spec.figure == "fig2" else 0.0
-        cells = [(ei, 0, scale, 0) for ei in range(len(spec.ensembles))]
+    curves: dict = {ens: {} for ens in spec.ensembles}
+    horizons: dict = {ens: {} for ens in spec.ensembles}
+    # One ensemble's problem is alive at a time: generate it, run every
+    # method on it, and drop it before the next.
+    for ei, ens in enumerate(spec.ensembles):
+        problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, ei, 0, 0)))
 
-    def one_cell(cell):
-        ei, si, scale, trial = cell
-        seed = _child_seed(spec.seed, 1, ei, si, trial)
-        problem = generate(_gen_spec(spec, spec.ensembles[ei], scale, seed))
-
-        def one_method(job):
+        def one(job):
             mi, meth = job
-            cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, si, trial, mi))
-            trace = run(problem, cfg)
-            return meth, trace.sq_errors, horizon_estimate(trace, spec.horizon_window)
+            cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, 0, 0, mi))
+            return meth, run(problem, cfg)
 
-        runs = _pool_map(one_method, list(enumerate(spec.methods)), 1 if scatter else threads)
-        if not scatter:
-            return {meth: errs for meth, errs, _ in runs}, {meth: h for meth, _, h in runs}
-        ratio = _identifiability_ratio(problem, spec.q)
-        return [
-            Fig3Point(scale=scale, trial=trial, method=meth, ratio=ratio, horizon=h)
-            for meth, _, h in runs
-        ]
-
-    done = _pool_map(one_cell, cells, threads if scatter else 1)
-    wall_clock = time.perf_counter() - t0
-    if scatter:
-        points = sorted(
-            (p for batch in done for p in batch),
-            key=lambda p: (p.scale, p.trial, METHOD_ORDER.index(p.method)),
-        )
-        return ExperimentResult(spec=spec, points=tuple(points), wall_clock=wall_clock)
+        for meth, trace in _pool_map(one, list(enumerate(spec.methods)), threads):
+            curves[ens][meth] = trace.sq_errors
+            horizons[ens][meth] = horizon_estimate(trace, spec.horizon_window)
+        del problem
     return ExperimentResult(
         spec=spec,
-        curves={ens: curves for ens, (curves, _) in zip(spec.ensembles, done)},
-        horizons={ens: horizons for ens, (_, horizons) in zip(spec.ensembles, done)},
-        wall_clock=wall_clock,
+        curves=curves,
+        horizons=horizons,
+        wall_clock=time.perf_counter() - t0,
     )
+
+
+def _run_points(spec: ExperimentSpec, threads: int) -> ExperimentResult:
+    t0 = time.perf_counter()
+    ens = spec.ensembles[0]
+    jobs = [
+        (si, scale, trial)
+        for si, scale in enumerate(spec.scales)
+        for trial in range(spec.trials)
+    ]
+
+    def one(job) -> list[Fig3Point]:
+        si, scale, trial = job
+        problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, 0, si, trial)))
+        ratio = _identifiability_ratio(problem, spec.q)
+        pts = []
+        for mi, meth in enumerate(spec.methods):
+            cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, 0, si, trial, mi))
+            trace = run(problem, cfg)
+            h = horizon_estimate(trace, spec.horizon_window)
+            pts.append(Fig3Point(scale=scale, trial=trial, method=meth, ratio=ratio, horizon=h))
+        return pts
+
+    points = [p for batch in _pool_map(one, jobs, threads) for p in batch]
+    points.sort(key=lambda p: (p.scale, p.trial, METHOD_ORDER.index(p.method)))
+    return ExperimentResult(
+        spec=spec, points=tuple(points), wall_clock=time.perf_counter() - t0
+    )
+
+
+def run_experiment(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
+    """Run the figure ``spec`` names.
+
+    fig1 (noise only) and fig2 (sparse corruption of magnitude
+    corruption_scale) give one curve per (ensemble, method): each
+    ensemble's problem is generated and dropped in turn, its methods
+    shared over ``threads``.  fig3 gives one point per (scale, trial,
+    method), its (scale, trial) cells shared over ``threads``.
+    """
+    if spec.figure == "fig3":
+        return _run_points(spec, threads)
+    scale = spec.corruption_scale if spec.figure == "fig2" else 0.0
+    return _run_curves(spec, scale, threads)
 
 
 def fig3_trend(result: ExperimentResult) -> dict:

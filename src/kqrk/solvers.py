@@ -428,8 +428,6 @@ def quantile_bounds(
     problem: CorruptedProblem,
     q: Fraction | float,
     sq_errors,
-    *,
-    sigma_max: float | None = None,
 ) -> tuple:
     """The sparse and noisy ceilings on the q-quantile residual.
 
@@ -447,8 +445,7 @@ def quantile_bounds(
         raise InvalidRegimeError(
             f"quantile bound needs q < 1 - beta; q = {level}, beta = {beta}"
         )
-    if sigma_max is None:
-        sigma_max, _ = singular_extremes(problem.system)
+    sigma_max, _ = singular_extremes(problem.system)
     denom = math.sqrt(float(1 - level - beta))
     eta_inf = float(np.max(np.abs(problem.eta))) if problem.eta.size else 0.0
     sparse = sigma_max * np.sqrt(sq_errors) / (math.sqrt(problem.m) * denom)
@@ -472,8 +469,6 @@ def quantile_diagnostic(
     x_k: np.ndarray,
     problem: CorruptedProblem,
     q: Fraction | float,
-    *,
-    sigma_max: float | None = None,
 ) -> tuple[float, float, float]:
     """Observed residual quantile and its two theoretical ceilings.
 
@@ -483,7 +478,7 @@ def quantile_diagnostic(
     q < 1 - beta for the realized corruption level beta.
     """
     d = x_k - problem.x_star
-    bound_sparse, bound_noisy = quantile_bounds(problem, q, d @ d, sigma_max=sigma_max)
+    bound_sparse, bound_noisy = quantile_bounds(problem, q, d @ d)
     keys = np.abs(problem.b - problem.system.data @ x_k)
     if not problem.system.row_normalized:
         keys = keys / _row_sq_norms(problem.system.data, False)
