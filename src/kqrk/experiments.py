@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -210,7 +209,10 @@ class ExperimentResult:
         out: dict = {"schema_version": 1, "spec": self.spec.to_dict()}
         if self.curves is not None:
             out["curves"] = {
-                ens: {meth: [float(v) for v in arr] for meth, arr in per.items()}
+                ens: {
+                    meth: np.asarray(arr, dtype=np.float64).tolist()
+                    for meth, arr in per.items()
+                }
                 for ens, per in self.curves.items()
             }
             out["horizons"] = {
@@ -284,6 +286,8 @@ def _gen_spec(spec: ExperimentSpec, ensemble: str, scale: float, seed: int) -> G
 def _pool_map(fn, jobs, threads: int):
     if threads <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, jobs))
 
@@ -403,15 +407,88 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _curve_rows(per_method: dict, methods: tuple[str, ...]):
-    present = [meth for meth in METHOD_ORDER if meth in methods]
-    length = max(len(per_method[meth]) for meth in present)
-    for k in range(length):
-        row = [str(k)]
-        for meth in present:
-            arr = per_method[meth]
-            row.append(fmt_float(float(arr[k])) if k < len(arr) else "")
-        yield row
+# Curve CSVs are formatted and written this many rows at a time.
+CSV_BLOCK_ROWS = 256
+
+
+def _curve_lines(per_method: dict, present: list[str], start: int, stop: int) -> list[str]:
+    """Rows start..stop-1 of one ensemble's curve table, without line ends.
+
+    Each column is formatted once; a curve shorter than the table leaves
+    its cells empty, as csv.writer writes an empty string.
+    """
+    cols = [map(str, range(start, stop))]
+    for meth in present:
+        vals = np.asarray(per_method[meth][start:stop], dtype=np.float64).tolist()
+        cols.append([format(v, ".17g") for v in vals] + [""] * (stop - start - len(vals)))
+    return list(map(",".join, zip(*cols)))
+
+
+def _write_curve_csvs(out: Path, result: ExperimentResult) -> list[Path]:
+    """data_<ensemble>.csv per ensemble, and data.csv with each of their rows
+    prefixed by the ensemble.  The bytes are csv.writer's: CRLF row ends,
+    and no field here ever needs quoting."""
+    present = [meth for meth in METHOD_ORDER if meth in result.spec.methods]
+    written = []
+    path = out / "data.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["ensemble", "k", *present]) + "\r\n")
+        for ens in result.spec.ensembles:
+            per = result.curves[ens]
+            length = max(len(per[meth]) for meth in present)
+            prefix = f"{ens},"
+            ens_path = out / f"data_{ens}.csv"
+            with open(ens_path, "w", encoding="utf-8", newline="") as ens_fh:
+                ens_fh.write(",".join(["k", *present]) + "\r\n")
+                for start in range(0, length, CSV_BLOCK_ROWS):
+                    lines = _curve_lines(per, present, start, min(start + CSV_BLOCK_ROWS, length))
+                    ens_fh.write("\r\n".join(lines) + "\r\n")
+                    fh.write(prefix + ("\r\n" + prefix).join(lines) + "\r\n")
+            written.append(ens_path)
+    written.append(path)
+    return written
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float_list(values: list[float], pad: str) -> str:
+    """A float list as json.dump(indent=2) writes it, items one level below ``pad``."""
+    if not values:
+        return "[]"
+    reprs = map(float.__repr__, values)
+    if not all(map(math.isfinite, values)):
+        reprs = (_JSON_NONFINITE.get(r, r) for r in reprs)
+    return "[" + pad + "  " + ("," + pad + "  ").join(reprs) + pad + "]"
+
+
+def _write_result_json(path: Path, result: ExperimentResult) -> None:
+    """result.json, byte-identical to json.dump(doc, indent=2, sort_keys=True).
+
+    The curve lists hold nearly all the bytes, and an indent sends json
+    through its pure-Python encoder.  So the document is dumped with a
+    placeholder string per curve, and each curve is written in its place,
+    one at a time, as float.__repr__ lines: json's own float format, with
+    its spelling of the non-finite values.
+    """
+    doc = result.to_dict()
+    curves = {}
+    for per in doc.get("curves", {}).values():
+        for meth, values in per.items():
+            token = f"@curve{len(curves)}@"
+            curves[f'"{token}"'] = values
+            per[meth] = token
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    spots = sorted((text.index(token), token) for token in curves)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        pos = 0
+        for at, token in spots:
+            key_line = text[text.rindex("\n", 0, at) + 1 : at]  # '      "rk": '
+            pad = "\n" + " " * (len(key_line) - len(key_line.lstrip()))
+            fh.write(text[pos:at])
+            fh.write(_json_float_list(curves[token], pad))
+            pos = at + len(token)
+        fh.write(text[pos:] + "\n")
 
 
 def _curves_svg(result: ExperimentResult) -> str:
@@ -475,31 +552,13 @@ def emit(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    spec = result.spec
     for fmt in formats:
         if fmt not in ("csv", "svg", "json"):
             raise InvalidSpecError(f"unknown format {fmt!r}")
 
     if "csv" in formats:
         if result.curves is not None:
-            import csv
-
-            present = [meth for meth in METHOD_ORDER if meth in spec.methods]
-            path = out / "data.csv"
-            # Each row is formatted once and written to both files as it goes.
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                combined = csv.writer(fh)
-                combined.writerow(["ensemble", "k", *present])
-                for ens in spec.ensembles:
-                    ens_path = out / f"data_{ens}.csv"
-                    with open(ens_path, "w", encoding="utf-8", newline="") as ens_fh:
-                        per = csv.writer(ens_fh)
-                        per.writerow(["k", *present])
-                        for row in _curve_rows(result.curves[ens], spec.methods):
-                            per.writerow(row)
-                            combined.writerow([ens, *row])
-                    written.append(ens_path)
-            written.append(path)
+            written += _write_curve_csvs(out, result)
         else:
             path = out / "data.csv"
             _write_csv(
@@ -520,9 +579,7 @@ def emit(
 
     if "json" in formats:
         path = out / "result.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_result_json(path, result)
         written.append(path)
 
     return written

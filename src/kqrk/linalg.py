@@ -45,6 +45,8 @@ __all__ = [
     "SvdConvergenceError",
     "TooManySubsetsError",
     "row_normalize",
+    "row_norms",
+    "all_finite",
     "as_level",
     "snap_level",
     "feasible_level",
@@ -60,6 +62,9 @@ UNIT_ROW_TOLERANCE = 1e-12
 # Subset minima are computed in chunks of at most this many bytes of
 # per-subset work arrays, whatever the subset count.
 GATHER_BUDGET_BYTES = 1 << 20
+# Whole-matrix passes (row norms, finiteness, row scaling) walk the rows
+# in blocks of at most this many bytes, so none holds an m-by-n temporary.
+ROW_BLOCK_BYTES = 1 << 18
 # kappa in the eigenvalue screen's slack tau = kappa (m + n) eps ||A||_F^2
 # (derived in _min_over_subsets).
 SCREEN_SLACK = 64
@@ -106,10 +111,10 @@ class DenseMatrix:
             raise ValueError("matrix data must be two-dimensional")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("matrix must have at least one row and one column")
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise ValueError("matrix entries must be finite")
         if self.row_normalized:
-            norms = np.linalg.norm(arr, axis=1)
+            norms = row_norms(arr)
             bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_ROW_TOLERANCE)
             if bad.size:
                 raise ValueError(
@@ -137,20 +142,51 @@ class DenseMatrix:
         return np.einsum("ij,ij->i", self.data, self.data)
 
 
+def _row_blocks(m: int, n: int):
+    """Row slices covering 0..m, each at most ROW_BLOCK_BYTES (one row at least)."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * max(n, 1)))
+    return (slice(i, min(i + step, m)) for i in range(0, m, step))
+
+
+def row_norms(data: np.ndarray) -> np.ndarray:
+    """Euclidean row norms, bit-identical to ``np.linalg.norm(data, axis=1)``."""
+    if not data.flags.c_contiguous:
+        # numpy's summation order follows the layout; keep its own call
+        return np.linalg.norm(data, axis=1)
+    norms = np.empty(data.shape[0])
+    for rows in _row_blocks(*data.shape):
+        blk = data[rows]
+        np.sqrt(np.add.reduce(blk * blk, axis=1), out=norms[rows])
+    return norms
+
+
+def all_finite(data: np.ndarray) -> bool:
+    """``np.isfinite(data).all()`` for a 2-D array, one row block at a time."""
+    return all(bool(np.isfinite(data[rows]).all()) for rows in _row_blocks(*data.shape))
+
+
+def _normalize_rows_into(data: np.ndarray, out: np.ndarray) -> tuple[DenseMatrix, np.ndarray]:
+    """Write ``data / norms[:, None]`` into ``out`` (which may be ``data``)."""
+    if data.ndim != 2:
+        raise ValueError("expected a two-dimensional array")
+    norms = row_norms(data)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroRowError(int(zero[0]))
+    for rows in _row_blocks(*data.shape):
+        np.divide(data[rows], norms[rows, None], out=out[rows])
+    return DenseMatrix(out, row_normalized=True), norms
+
+
 def row_normalize(a: DenseMatrix | np.ndarray) -> tuple[DenseMatrix, np.ndarray]:
     """Scale each row to unit norm; returns the scaled matrix and the norms.
 
     Multiplying row i of the result by ``norms[i]`` reconstructs the input
-    exactly up to float rounding of the single division performed.
+    exactly up to float rounding of the single division performed.  The
+    input is left untouched; the result is a new matrix.
     """
     data = a.data if isinstance(a, DenseMatrix) else np.asarray(a, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("expected a two-dimensional array")
-    norms = np.linalg.norm(data, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroRowError(int(zero[0]))
-    return DenseMatrix(data / norms[:, None], row_normalized=True), norms
+    return _normalize_rows_into(data, np.empty(data.shape))
 
 
 def as_level(v: float | Fraction | int | str) -> Fraction:

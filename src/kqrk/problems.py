@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DenseMatrix, feasible_level, row_normalize
+from .linalg import DenseMatrix, _normalize_rows_into, feasible_level
 
 __all__ = [
     "ENSEMBLES",
@@ -145,7 +145,9 @@ def generate(spec: GenSpec) -> CorruptedProblem:
     streams = [np.random.default_rng(s) for s in root.spawn(6)]
     matrix_rng, solution_rng, support_rng, value_rng, sign_rng, noise_rng = streams
 
-    system, norms = row_normalize(_draw_matrix(matrix_rng, spec))
+    # The draw is private to this call, so it is normalised in place.
+    raw = _draw_matrix(matrix_rng, spec)
+    system, norms = _normalize_rows_into(raw, raw)
     x_star = solution_rng.standard_normal(spec.n)
     b_t = system.data @ x_star
 

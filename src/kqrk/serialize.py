@@ -21,7 +21,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,27 +67,42 @@ def fmt_float(x: float) -> str:
 
 
 def save_matrix(path: str | Path, a: DenseMatrix) -> None:
-    payload = np.ascontiguousarray(a.data, dtype="<f8").tobytes()
-    header = _HEADER.pack(MAGIC, CONTAINER_VERSION, a.m, a.n, int(a.row_normalized))
-    Path(path).write_bytes(header + payload)
+    # The entries go out from the array's own buffer, with no bytes copy;
+    # only a big-endian host pays for a little-endian copy.
+    payload = np.ascontiguousarray(a.data, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, CONTAINER_VERSION, a.m, a.n, int(a.row_normalized)))
+        fh.write(memoryview(payload).cast("B"))
 
 
 def load_matrix(path: str | Path) -> DenseMatrix:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ContainerFormatError(f"{path}: truncated header")
-    magic, version, m, n, flag = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ContainerFormatError(f"{path}: bad magic {magic!r}")
-    if version != CONTAINER_VERSION:
-        raise ContainerFormatError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + m * n * 8
-    if len(raw) != expected:
-        raise ContainerFormatError(
-            f"{path}: expected {expected} bytes for a {m}x{n} matrix, got {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(m, n)
-    return DenseMatrix(data.astype(np.float64), row_normalized=bool(flag))
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ContainerFormatError(f"{path}: truncated header")
+        magic, version, m, n, flag = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ContainerFormatError(f"{path}: bad magic {magic!r}")
+        if version != CONTAINER_VERSION:
+            raise ContainerFormatError(f"{path}: unsupported version {version}")
+        expected = _HEADER.size + m * n * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ContainerFormatError(
+                f"{path}: expected {expected} bytes for a {m}x{n} matrix, got {size}"
+            )
+        # Read straight into the matrix, which is the only copy of A.
+        data = np.empty((m, n), dtype=np.float64)
+        buf = memoryview(data).cast("B")
+        filled = 0
+        while filled < len(buf):
+            got = fh.readinto(buf[filled:])
+            if not got:
+                raise ContainerFormatError(f"{path}: truncated entries")
+            filled += got
+    if sys.byteorder == "big":
+        data.byteswap(inplace=True)
+    return DenseMatrix(data, row_normalized=bool(flag))
 
 
 def save_vector_csv(path: str | Path, name: str, values: np.ndarray) -> None:
@@ -107,9 +124,10 @@ def load_vector_csv(path: str | Path) -> np.ndarray:
 
 def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as fh:
+        while got := fh.readinto(buf):
+            digest.update(buf[:got])
     return digest.hexdigest()
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DenseMatrix, feasible_level, singular_extremes
+from .linalg import DenseMatrix, all_finite, feasible_level, singular_extremes
 from .problems import CorruptedProblem, InvalidSpecError
 
 __all__ = [
@@ -177,7 +177,7 @@ def _unpack(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
     a, b = unpacked[:2]
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"A must be 2-D with one entry of b per row; got {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (all_finite(a) and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
     return unpacked
 

@@ -462,15 +462,19 @@ class TestVersion:
 
 
 def test_import_skips_scipy():
-    # scipy.stats costs about a second at start-up and only fig3_trend needs it.
+    # scipy.stats costs about a second at start-up and only fig3_trend needs
+    # it; the thread pool's module costs memory and only threads > 1 needs it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, kqrk, kqrk.cli; print('scipy' in sys.modules)"
+    code = (
+        "import sys, kqrk, kqrk.cli; "
+        "print([name in sys.modules for name in ('scipy', 'concurrent.futures')])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,6 @@
 """Experiment orchestration: specs, fairness, determinism, emission."""
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -280,6 +282,52 @@ class TestEmission:
                 for meth, text in zip(("rk", "qrk", "dqrk"), fields[1:]):
                     assert float(text) == result.curves[ens][meth][k]
         assert body == []
+
+    def test_curve_files_match_the_standard_writers(self, tmp_path):
+        # data*.csv and result.json are byte-identical to what the csv
+        # module and json.dump(indent=2, sort_keys=True) write, for curves
+        # of unequal length with non-finite, signed-zero and extreme values,
+        # long enough to span several blocks of rows.
+        rng = np.random.default_rng(8)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        curves = {}
+        for ens, length in (("gaussian", 9001), ("uniform", 3)):
+            curves[ens] = {}
+            for i, meth in enumerate(("rk", "qrk", "dqrk")):
+                arr = rng.standard_normal(length - 2 * i if length > 3 else length) * 1e3
+                arr[: min(len(special), len(arr))] = special[: len(arr)]
+                curves[ens][meth] = arr
+        horizons = {ens: {"rk": np.inf, "qrk": np.nan, "dqrk": 1.5} for ens in curves}
+        result = ExperimentResult(
+            spec=_spec("fig2", iterations=9000), curves=curves, horizons=horizons
+        )
+        emit(result, tmp_path, formats=("csv", "json"))
+
+        def reference_csv(header, rows):
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue().encode()
+
+        def rows(per):
+            length = max(len(arr) for arr in per.values())
+            for k in range(length):
+                yield [str(k)] + [
+                    format(float(per[m][k]), ".17g") if k < len(per[m]) else ""
+                    for m in ("rk", "qrk", "dqrk")
+                ]
+
+        combined = []
+        for ens, per in curves.items():
+            expected = reference_csv(["k", "rk", "qrk", "dqrk"], rows(per))
+            assert (tmp_path / f"data_{ens}.csv").read_bytes() == expected
+            combined += [[ens, *row] for row in rows(per)]
+        expected = reference_csv(["ensemble", "k", "rk", "qrk", "dqrk"], combined)
+        assert (tmp_path / "data.csv").read_bytes() == expected
+        buf = io.StringIO()
+        json.dump(result.to_dict(), buf, indent=2, sort_keys=True)
+        assert (tmp_path / "result.json").read_bytes() == (buf.getvalue() + "\n").encode()
 
     def test_unknown_format_rejected(self, tmp_path):
         result = run_experiment(_spec("fig1", ensembles=("gaussian",), methods=("rk",)))

@@ -81,6 +81,86 @@ class TestDenseMatrix:
         assert math.isclose(frobenius_sq(dm), 9.0, rel_tol=1e-12)
 
 
+def _block_shapes(n: int = 64) -> list[tuple[int, int]]:
+    """Edge shapes for the row-block passes at the current byte budget."""
+    rows = linalg.ROW_BLOCK_BYTES // (8 * n)
+    wide = linalg.ROW_BLOCK_BYTES // 8 + 1  # a row larger than one block
+    return [
+        (1, 1), (1, 3000), (3000, 1), (3, wide),
+        (rows - 1, n), (rows, n), (rows + 1, n), (2 * rows + 1, n),
+    ]
+
+
+class TestRowBlocks:
+    """The blocked whole-matrix passes agree bit for bit with numpy."""
+
+    @staticmethod
+    def _draw(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        # magnitudes from 1e-150 to 1e150 keep every square finite and normal
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+
+    @pytest.mark.parametrize("shape", _block_shapes(), ids=str)
+    def test_row_norms_match_numpy(self, shape):
+        a = self._draw(shape)
+        expected = np.linalg.norm(a, axis=1).tobytes()
+        assert linalg.row_norms(a).tobytes() == expected
+        f = np.asfortranarray(a)  # numpy sums these rows in another order
+        assert linalg.row_norms(f).tobytes() == np.linalg.norm(f, axis=1).tobytes()
+
+    def test_row_norms_of_strided_rows(self):
+        a = self._draw((400, 90), seed=1)[::3, ::2]
+        assert linalg.row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("shape", _block_shapes(), ids=str)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_all_finite_matches_numpy(self, shape, bad):
+        a = self._draw(shape)
+        assert linalg.all_finite(a) is True
+        for where in ((-1, -1), (0, 0)):  # only in the last block, then only in the first
+            b = a.copy()
+            b[where] = bad
+            assert linalg.all_finite(b) is False
+            assert not np.isfinite(b).all()
+
+    @pytest.mark.parametrize("shape", _block_shapes(), ids=str)
+    def test_row_normalize_matches_whole_division(self, shape):
+        a = self._draw(shape, seed=2)
+        before = a.copy()
+        dm, norms = row_normalize(a)
+        expected = np.linalg.norm(a, axis=1)
+        assert norms.tobytes() == expected.tobytes()
+        assert dm.data.tobytes() == (a / expected[:, None]).tobytes()
+        # the public routine leaves its input untouched and writable
+        assert a.tobytes() == before.tobytes() and a.flags.writeable
+
+    def test_tiny_budget(self, monkeypatch):
+        # A budget below one row gives one-row blocks; results do not move.
+        a = self._draw((37, 5), seed=3)
+        expected = np.linalg.norm(a, axis=1).tobytes()
+        monkeypatch.setattr(linalg, "ROW_BLOCK_BYTES", 16)
+        assert linalg.row_norms(a).tobytes() == expected
+        assert row_normalize(a)[0].data.tobytes() == (a / np.linalg.norm(a, axis=1)[:, None]).tobytes()
+        a[36, 4] = np.nan
+        assert linalg.all_finite(a) is False
+
+    def test_zero_row_in_last_block(self):
+        a = self._draw((2 * linalg.ROW_BLOCK_BYTES // (8 * 64) + 1, 64))
+        a[-1] = 0.0
+        with pytest.raises(ZeroRowError) as err:
+            row_normalize(a)
+        assert err.value.row == a.shape[0] - 1
+
+    def test_unit_row_check_uses_the_same_norms(self):
+        a = self._draw((300, 70), seed=4)
+        dm = DenseMatrix(row_normalize(a)[0].data.copy(), row_normalized=True)
+        assert dm.row_normalized
+        bad = dm.data.copy()
+        bad[-1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="row 299 has norm"):
+            DenseMatrix(bad, row_normalized=True)
+
+
 class TestLevels:
     def test_snap_basic(self):
         assert snap_level(0.8, 10) == Fraction(4, 5)

@@ -1,0 +1,68 @@
+"""Memory contracts: each path that builds or moves A holds one copy of it.
+
+tracemalloc sees numpy's buffers, so the traced peak above the starting
+point measures every array a call allocates, its result included.  The
+matrix is 2048 x 512 (8 MiB); a call that makes a full-size temporary
+of A overshoots its bound by most of |A|.
+"""
+from __future__ import annotations
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from kqrk import solvers
+from kqrk.linalg import DenseMatrix, row_normalize
+from kqrk.problems import GenSpec, generate
+from kqrk.serialize import load_problem, save_problem
+
+SPEC = GenSpec(m=2048, n=512, beta=Fraction(1, 16), corruption_scale=100.0, seed=5)
+A_BYTES = SPEC.m * SPEC.n * 8
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes allocated at the peak of ``fn(*args)`` above the start."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return generate(SPEC)
+
+
+def test_generate():
+    assert traced_peak(generate, SPEC) <= 1.25 * A_BYTES
+
+
+def test_row_normalize():
+    raw = np.random.default_rng(0).standard_normal((SPEC.m, SPEC.n))
+    assert traced_peak(row_normalize, raw) <= 1.25 * A_BYTES
+
+
+def test_unit_row_check(problem):
+    data = problem.system.data.copy()
+    assert traced_peak(DenseMatrix, data, row_normalized=True) <= 0.25 * A_BYTES
+
+
+def test_save_problem(problem, tmp_path):
+    assert traced_peak(save_problem, tmp_path / "p", problem, SPEC) <= 0.25 * A_BYTES
+
+
+def test_load_problem(problem, tmp_path):
+    save_problem(tmp_path / "p", problem, SPEC)
+    assert traced_peak(load_problem, tmp_path / "p") <= 1.25 * A_BYTES
+
+
+def test_solver_input_check(problem):
+    a = np.array(problem.system.data)
+    assert traced_peak(solvers._unpack, (a, problem.b)) <= 0.25 * A_BYTES
+    assert traced_peak(solvers._unpack, problem) <= 0.25 * A_BYTES

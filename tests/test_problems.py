@@ -1,6 +1,7 @@
 """Problem generation: invariants, decompositions, determinism."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,66 @@ class TestGenerate:
         prob = generate(GenSpec(m=15, n=3, noise_stddev=0.0, seed=7))
         assert np.all(prob.eta == 0.0)
         np.testing.assert_array_equal(prob.b, prob.b_t)
+
+
+def _sha(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+# SHA-256 of (A, row_norms, b) as generate drew them before the draw was
+# normalised in place.  The specs cover both ensembles, signed corruption,
+# disjoint support, row counts that do not fill the last row block, and
+# the 1-by-1 edge.
+GOLDEN_GENERATE = [
+    (
+        GenSpec(m=1000, n=200, beta=Fraction(1, 20), corruption_scale=100.0, seed=11),
+        "43f8c0a102b6ada4c55f1a847ac90b6056e56ec31088aba32a1e94670fabbf85",
+        "5084b4f0857e7ffa35b175ce23311fa2eaa2b18bc8b3647c4c917ffedc423eb8",
+        "a12d5ffaecc42cec1d4b58fb2fba3275711449fa4207efe30a1f104c31320ea3",
+    ),
+    (
+        GenSpec(
+            m=777, n=300, beta=Fraction(1, 111), corruption_scale=1e4,
+            ensemble="uniform", signed_corruption=True, seed=3,
+        ),
+        "fd84807a357ad6e5e675d6a0287a16625d0ce1e7b9bdc5fe446504a49492dac3",
+        "0c25a05c4c0987d3c7c35bd840bcc4003dee0f4ddfb2f597054a4ac89f54b0ee",
+        "197bffba67ae7919e8584217f2ee2ebc1426cd276772a418fb9beaadc1bfd345",
+    ),
+    (
+        GenSpec(
+            m=640, n=512, beta=Fraction(1, 10), corruption_scale=50.0,
+            noise_stddev=0.5, disjoint_support=True, seed=7,
+        ),
+        "8e0fbc63aa9268dbfd210e792c32da45dd85d630de8729af6a0ebb8989501226",
+        "9d0e866c10b1a378e1f90f8394a94b9f5e229cf542164f608128521f07d96954",
+        "c0c84ef89becf6b06c7d972a528fb242789423711fe282d5da21e15739640035",
+    ),
+    (
+        GenSpec(
+            m=50, n=3, beta=Fraction(1, 5), corruption_scale=1e6, ensemble="uniform",
+            signed_corruption=True, disjoint_support=True, seed=0,
+        ),
+        "b009e0f33b6eabf153171dff4125ba339bb6d17f336b7f3d7daa947779063e23",
+        "8d9ea7c3e28412359070f4bab43b74011d0152069b3b2c4d72006bfa2231cffa",
+        "39dcdf566cfbf42fc91b5f02059ab6be8a50332e78bc7f1577488bd939e968b5",
+    ),
+    (
+        GenSpec(m=1, n=1, seed=2),
+        "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+        "8dbd873f3aa31db8b55517a52d0fc30f3273dcd2fe88c158431b11a8f8688b3d",
+        "3dd20f40e53ba51a330b1f5ee22e29614bc59a76317a56129683ae906468dcab",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,a_sha,norms_sha,b_sha", GOLDEN_GENERATE, ids=[f"m{s[0].m}n{s[0].n}" for s in GOLDEN_GENERATE]
+)
+def test_generate_matches_golden_hashes(spec, a_sha, norms_sha, b_sha):
+    prob = generate(spec)
+    assert prob.system.data.dtype == np.float64 and prob.system.data.flags.c_contiguous
+    assert (_sha(prob.system.data), _sha(prob.row_norms), _sha(prob.b)) == (a_sha, norms_sha, b_sha)
 
 
 class TestCorruptedProblemValidation:

@@ -1,6 +1,7 @@
 """File formats: binary matrix container, CSV round trips, bundles."""
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from fractions import Fraction
@@ -76,6 +77,74 @@ class TestMatrixContainer:
         save_matrix(path, dm)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ContainerFormatError):
+            load_matrix(path)
+
+    # Bundle matrix of GenSpec(m=50, n=3, beta=1/5, corruption 1e6, uniform,
+    # signed, disjoint, seed 0) as the container format has always stored it.
+    GOLDEN_FILE_SHA = "500c5a29780e042a2479d69c493a9c64dbac6ab76a49f6158a366c74a031be46"
+    GOLDEN_SPEC = GenSpec(
+        m=50, n=3, beta=Fraction(1, 5), corruption_scale=1e6, ensemble="uniform",
+        signed_corruption=True, disjoint_support=True, seed=0,
+    )
+
+    @staticmethod
+    def _reference_bytes(dm) -> bytes:
+        """The container as written by formatting it whole: header + payload."""
+        header = struct.pack("<4sIQQB", b"KQRK", 1, dm.m, dm.n, int(dm.row_normalized))
+        return header + np.ascontiguousarray(dm.data, dtype="<f8").tobytes()
+
+    @staticmethod
+    def _reference_load(blob: bytes) -> tuple[np.ndarray, bool]:
+        """The container read whole from bytes, the simplest reader there is."""
+        _, _, m, n, flag = struct.unpack_from("<4sIQQB", blob)
+        data = np.frombuffer(blob, dtype="<f8", offset=struct.calcsize("<4sIQQB"))
+        return data.reshape(m, n).astype(np.float64), bool(flag)
+
+    def test_golden_file_bytes(self, tmp_path):
+        dm = generate(self.GOLDEN_SPEC).system
+        path = tmp_path / "a.kqrk"
+        save_matrix(path, dm)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_FILE_SHA
+        assert path.read_bytes() == self._reference_bytes(dm)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (130, 70), (300, 513)])
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_reference_files_read_identically(self, tmp_path, shape, unit):
+        # A file formatted whole loads through load_matrix, and a file that
+        # save_matrix writes reads back through the whole-file reader.
+        raw = np.random.default_rng(sum(shape)).standard_normal(shape)
+        dm = row_normalize(raw)[0] if unit else DenseMatrix(raw)
+        old = tmp_path / "old.kqrk"
+        old.write_bytes(self._reference_bytes(dm))
+        back = load_matrix(old)
+        assert back.row_normalized == unit
+        assert back.data.dtype == np.float64 and back.data.tobytes() == dm.data.tobytes()
+        new = tmp_path / "new.kqrk"
+        save_matrix(new, dm)
+        data, flag = self._reference_load(new.read_bytes())
+        assert flag == unit and data.tobytes() == dm.data.tobytes()
+
+    def test_trailing_bytes(self, tmp_path):
+        dm = DenseMatrix(np.ones((3, 2)))
+        path = tmp_path / "a.kqrk"
+        save_matrix(path, dm)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ContainerFormatError, match="expected 73 bytes for a 3x2 matrix, got 74"):
+            load_matrix(path)
+
+    def test_format_errors_name_the_fault(self, tmp_path):
+        path = tmp_path / "a.kqrk"
+        path.write_bytes(b"KQRK\x01\x00")
+        with pytest.raises(ContainerFormatError, match="truncated header"):
+            load_matrix(path)
+        path.write_bytes(struct.pack("<4sIQQB", b"KQRK", 2, 1, 1, 0) + bytes(8))
+        with pytest.raises(ContainerFormatError, match="unsupported version 2"):
+            load_matrix(path)
+        path.write_bytes(struct.pack("<4sIQQB", b"NOPE", 1, 1, 1, 0) + bytes(8))
+        with pytest.raises(ContainerFormatError, match="bad magic"):
+            load_matrix(path)
+        path.write_bytes(struct.pack("<4sIQQB", b"KQRK", 1, 2, 2, 0) + bytes(24))
+        with pytest.raises(ContainerFormatError, match="expected 57 bytes for a 2x2 matrix, got 49"):
             load_matrix(path)
 
 
