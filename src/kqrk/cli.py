@@ -51,8 +51,11 @@ from .problems import (
     ordered_magnitude,
 )
 from .serialize import (
+    VECTOR_NAMES,
     ContainerFormatError,
     load_problem,
+    matrix_file_equals,
+    problem_files,
     save_problem,
     save_trace_csv,
     sha256_file,
@@ -542,21 +545,20 @@ def _verify_problem(directory: Path) -> None:
     if sums:
         _verify_checksums(directory, sums)
     spec_doc = manifest.get("spec")
-    if spec_doc is not None:
-        regen = generate(spec_from_dict(spec_doc))
-        pairs = [
-            ("matrix", regen.system.data, problem.system.data),
-            ("x_star", regen.x_star, problem.x_star),
-            ("b_t", regen.b_t, problem.b_t),
-            ("eta", regen.eta, problem.eta),
-            ("xi", regen.xi, problem.xi),
-            ("b", regen.b, problem.b),
-        ]
-        for name, fresh, stored in pairs:
-            if not np.array_equal(fresh, stored):
-                raise VerificationError(
-                    f"{name} does not reproduce bit-identically from its spec"
-                )
+    if spec_doc is None:
+        return
+    # Only the vectors are kept: the regenerated matrix is compared with
+    # the file block by block, so one copy of A is alive at a time.
+    stored = {name: getattr(problem, name) for name in VECTOR_NAMES}
+    del problem
+    regen = generate(spec_from_dict(spec_doc))
+    if not matrix_file_equals(problem_files(directory)["matrix"], regen.system):
+        raise VerificationError("matrix does not reproduce bit-identically from its spec")
+    for name in VECTOR_NAMES:
+        if not np.array_equal(getattr(regen, name), stored[name]):
+            raise VerificationError(
+                f"{name} does not reproduce bit-identically from its spec"
+            )
 
 
 def _verify_experiment(directory: Path) -> None:

@@ -60,7 +60,10 @@ __all__ = [
 SUBSET_ENUMERATION_CAP = 2_000_000
 UNIT_ROW_TOLERANCE = 1e-12
 # Subset minima are computed in chunks of at most this many bytes of
-# per-subset work arrays, whatever the subset count.
+# per-subset work arrays, whatever the subset count, and only one chunk's
+# arrays are alive at a time.  Besides one chunk, the engine holds the
+# m-by-n(n+1)/2 product table of its Gram matrices and, when sampling,
+# one 8-byte rank or fingerprint per sample (see _min_over_subsets).
 GATHER_BUDGET_BYTES = 1 << 20
 # Whole-matrix passes (row norms, finiteness, row scaling) walk the rows
 # in blocks of at most this many bytes, so none holds an m-by-n temporary.
@@ -370,16 +373,32 @@ def _all_subsets(m: int, g: int, chunk: int):
         yield _unrank(np.arange(lo, min(lo + chunk, total)), table)
 
 
+def _fingerprint_words(m: int) -> np.ndarray:
+    # One fixed 64-bit word per row; a subset's fingerprint is the wrapping
+    # sum of its rows' words.  Drawn from their own fixed seed sequence,
+    # so the sampler's random keys are the same whatever the words are.
+    return np.random.SeedSequence(0x6B71726B).generate_state(m, np.uint64)
+
+
 def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
     """``samples`` distinct uniform g-subsets of range(m), sorted, in chunks.
 
     Requires 2g <= m.  While C(m, g) < 2**63 the draw is ``samples``
     distinct ranks, unranked by the combinatorial number system, so the
     cost is O(samples) even when ``samples`` is close to C(m, g).  Past
-    that, each subset is the g smallest of m random keys and a repeat is
-    rejected; some repeat occurs with probability at most
-    samples**2 / (2 C(m, g)) < samples**2 / 2**64, so rejections are rare
-    and the cost stays O(samples).
+    that, each subset is the g smallest of m random keys, and a subset
+    whose 64-bit fingerprint (``_fingerprint_words``) was seen before is
+    rejected.  A repeat always has a seen fingerprint, so none gets
+    through; a distinct subset that shares one only costs an extra draw.
+    Some repeat or shared fingerprint occurs with probability about
+    samples**2 / 2**64, so rejections are rare and the draws stay
+    O(samples).  Held across chunks: one 8-byte rank or fingerprint per
+    sample; within one, the key chunk fits GATHER_BUDGET_BYTES.
+
+    Known cost of the rank path: once ``samples`` exceeds C(m, g) / 50,
+    numpy's ``choice`` permutes all C(m, g) ranks, 8 C(m, g) bytes for
+    the call (a traced 44 MB at C(26, 10) with 200,000 samples, against
+    1.6 MB with 50,000).  Bounding it would change every sampled draw.
     """
     rng = np.random.default_rng(seed)
     total = math.comb(m, g)
@@ -390,18 +409,27 @@ def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
             yield _unrank(ranks[lo:lo + chunk], table)
         return
     chunk = max(1, min(chunk, GATHER_BUDGET_BYTES // (8 * m)))
-    seen: set[bytes] = set()
-    while len(seen) < samples:
-        keys = rng.random((min(chunk, samples - len(seen)), m))
-        idx = np.sort(np.argpartition(keys, g - 1, axis=1)[:, :g], axis=1)
-        del keys  # not held while the caller works on the chunk
-        fresh = []
-        for i, row in enumerate(idx):
-            tag = row.tobytes()
-            if tag not in seen:
-                seen.add(tag)
-                fresh.append(i)
-        yield idx[fresh]
+    words = _fingerprint_words(m)
+    # The fingerprints yielded so far, as sorted runs of falling length.
+    # A new run absorbs every run no longer than itself, so for chunks of
+    # one size the runs count like a binary counter: O(log samples) runs,
+    # and each fingerprint is merged O(log samples) times.
+    runs: list[np.ndarray] = []
+    drawn = 0
+    while drawn < samples:
+        idx = np.argpartition(rng.random((min(chunk, samples - drawn), m)), g - 1, axis=1)
+        idx = np.sort(idx[:, :g], axis=1)  # the g smallest keys of each row
+        prints, first = np.unique(words[idx].sum(axis=1), return_index=True)
+        for run in runs:
+            new = np.searchsorted(run, prints, side="right") == np.searchsorted(run, prints)
+            prints, first = prints[new], first[new]
+        while runs and len(runs[-1]) <= len(prints):
+            prints = np.sort(np.concatenate((runs.pop(), prints)), kind="stable")
+        runs.append(prints)
+        idx = idx[np.sort(first)]  # first draws of new fingerprints, in draw order
+        drawn += len(idx)
+        yield idx
+        del idx  # not held while the next chunk is drawn
 
 
 def _cholesky_clears(gram: np.ndarray, c: float) -> np.ndarray:
@@ -445,7 +473,12 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     subset s, so every Gram entry is a dot product of length m.  A chunk
     holds N = GATHER_BUDGET_BYTES / (8 (m + 2 n**2)) subsets, so that W,
     the N Gram matrices and the Cholesky test's copy of them fit the
-    budget together.  A batched Cholesky test (``_cholesky_clears``)
+    budget together.  The working set is therefore P (8 m n (n + 1) / 2
+    bytes, built once), one chunk's arrays (each chunk is released
+    before the next is drawn) and, in sampled mode, the sampler's one
+    8-byte rank or fingerprint per sample: it does not grow with the
+    subset size, and grows with the sample count by 8 bytes a sample.
+    A batched Cholesky test (``_cholesky_clears``)
     against the running minimum b clears most of them; the rest are
     screened by one batched ``eigvalsh``.  A subset is re-solved by SVD
     unless one of the two shows it cannot attain the minimum, and the
@@ -515,8 +548,14 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
         chunks = _all_subsets(m, g, chunk)
     else:
         chunks = _random_subsets(m, g, samples, seed, chunk)
+    # products[(i, j), r] = a_ri a_rj for i <= j in triu order, filled one
+    # row block of the triangle at a time so no m-by-n(n+1)/2 temporary
+    # sits beside it; the transpose keeps the layout the BLAS product sees.
     upper = np.triu_indices(n)
-    products = (data[:, upper[0]] * data[:, upper[1]]).T
+    table = np.empty((m, len(upper[0])))
+    for i, start in enumerate(np.flatnonzero(upper[0] == upper[1])):
+        np.multiply(data[:, i, None], data[:, i:], out=table[:, start:start + n - i])
+    products = table.T
     entry = np.empty((n, n), dtype=np.intp)
     entry[upper] = entry.T[upper] = np.arange(len(upper[0]))
     fro = frobenius_sq(a)
@@ -527,22 +566,28 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     def svd_value(members: np.ndarray) -> float:
         return _subset_min_singular(data[np.delete(np.arange(m), members) if drop else members])
 
-    best = math.inf
-    for idx in chunks:
-        if not len(idx):
-            continue
+    def chunk_min(idx: np.ndarray, best: float) -> float:
+        # A function, so the chunk's arrays are freed when it returns.
         if math.isinf(best):
             best = svd_value(idx[0])
         weights = np.full((m, len(idx)), float(drop))
         weights[idx, np.arange(len(idx))[:, None]] = float(not drop)
         gram = (products @ weights)[entry].transpose(2, 0, 1)
+        del weights
         left = np.flatnonzero(~_cholesky_clears(gram, best * best + tau + tau_chol))
         if not left.size:
-            continue
+            return best
         low = np.linalg.eigvalsh(gram[left])[:, 0]
         cut = min(best * best, float(low.min()) + tau) + tau
         for i in left[low <= cut]:
             best = min(best, svd_value(idx[i]))
+        return best
+
+    best = math.inf
+    for idx in chunks:
+        if len(idx):
+            best = chunk_min(idx, best)
+        del idx  # freed before the next chunk is drawn
     return best
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, _row_blocks
 from .problems import CorruptedProblem, GenSpec, InvalidSpecError
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "fmt_float",
     "save_matrix",
     "load_matrix",
+    "matrix_file_equals",
     "save_vector_csv",
     "load_vector_csv",
     "sha256_file",
@@ -75,34 +76,63 @@ def save_matrix(path: str | Path, a: DenseMatrix) -> None:
         fh.write(memoryview(payload).cast("B"))
 
 
-def load_matrix(path: str | Path) -> DenseMatrix:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ContainerFormatError(f"{path}: truncated header")
-        magic, version, m, n, flag = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ContainerFormatError(f"{path}: bad magic {magic!r}")
-        if version != CONTAINER_VERSION:
-            raise ContainerFormatError(f"{path}: unsupported version {version}")
-        expected = _HEADER.size + m * n * 8
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise ContainerFormatError(
-                f"{path}: expected {expected} bytes for a {m}x{n} matrix, got {size}"
-            )
-        # Read straight into the matrix, which is the only copy of A.
-        data = np.empty((m, n), dtype=np.float64)
-        buf = memoryview(data).cast("B")
-        filled = 0
-        while filled < len(buf):
-            got = fh.readinto(buf[filled:])
-            if not got:
-                raise ContainerFormatError(f"{path}: truncated entries")
-            filled += got
+def _read_header(fh, path) -> tuple[int, int, int]:
+    """Check a container's header and size; returns m, n and the flag."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise ContainerFormatError(f"{path}: truncated header")
+    magic, version, m, n, flag = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise ContainerFormatError(f"{path}: bad magic {magic!r}")
+    if version != CONTAINER_VERSION:
+        raise ContainerFormatError(f"{path}: unsupported version {version}")
+    expected = _HEADER.size + m * n * 8
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise ContainerFormatError(
+            f"{path}: expected {expected} bytes for a {m}x{n} matrix, got {size}"
+        )
+    return m, n, flag
+
+
+def _read_into(fh, path, data: np.ndarray) -> None:
+    # Fill a C-contiguous float64 array with the next entries of the file.
+    buf = memoryview(data).cast("B")
+    filled = 0
+    while filled < len(buf):
+        got = fh.readinto(buf[filled:])
+        if not got:
+            raise ContainerFormatError(f"{path}: truncated entries")
+        filled += got
     if sys.byteorder == "big":
         data.byteswap(inplace=True)
+
+
+def load_matrix(path: str | Path) -> DenseMatrix:
+    with open(path, "rb") as fh:
+        m, n, flag = _read_header(fh, path)
+        # Read straight into the matrix, which is the only copy of A.
+        data = np.empty((m, n), dtype=np.float64)
+        _read_into(fh, path, data)
     return DenseMatrix(data, row_normalized=bool(flag))
+
+
+def matrix_file_equals(path: str | Path, a: DenseMatrix) -> bool:
+    """Whether the container at ``path`` holds the entries of ``a``.
+
+    The file is read one row block (``ROW_BLOCK_BYTES``) at a time, so
+    the comparison holds no second copy of the matrix.
+    """
+    with open(path, "rb") as fh:
+        m, n, _ = _read_header(fh, path)
+        if (m, n) != a.shape:
+            return False
+        for rows in _row_blocks(m, n):
+            stored = np.empty((rows.stop - rows.start, n))
+            _read_into(fh, path, stored)
+            if not np.array_equal(stored, a.data[rows]):
+                return False
+    return True
 
 
 def save_vector_csv(path: str | Path, name: str, values: np.ndarray) -> None:

@@ -109,6 +109,15 @@ class _Axis:
         t = (math.log10(v) if self.log else v) - self.lo
         return self.px_lo + (self.px_hi - self.px_lo) * t / (self.hi - self.lo)
 
+    def positions(self, values: np.ndarray) -> np.ndarray:
+        """``self(v)`` for every value, bit for bit, in one array pass.
+
+        log10 stays ``math.log10`` per value and the arithmetic keeps
+        ``__call__``'s order of operations.
+        """
+        t = np.array([math.log10(v) for v in values.tolist()]) if self.log else values
+        return self.px_lo + (self.px_hi - self.px_lo) * (t - self.lo) / (self.hi - self.lo)
+
 
 def _data_range(values: list[np.ndarray], log: bool) -> tuple[float, float]:
     lo, hi = math.inf, -math.inf
@@ -215,17 +224,17 @@ def chart(
         if x.size == 0:
             continue
         idx = _thin(x.size, thin_to)
-        x, y = x[idx], y[idx]
+        px, py = ax.positions(x[idx]).tolist(), ay.positions(y[idx]).tolist()
         if s.marker is None:
-            points = " ".join(f"{_px(ax(float(u)))},{_px(ay(float(v)))}" for u, v in zip(x, y))
+            points = " ".join(map("{:.2f},{:.2f}".format, px, py))  # _px's format
             out.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" '
                 f'stroke-width="1.6" stroke-linejoin="round"/>'
             )
         else:
-            for u, v in zip(x, y):
+            for u, v in zip(px, py):
                 out.append(
-                    f'<circle cx="{_px(ax(float(u)))}" cy="{_px(ay(float(v)))}" '
+                    f'<circle cx="{_px(u)}" cy="{_px(v)}" '
                     f'r="3.2" fill="{color}" fill-opacity="0.75"/>'
                 )
 

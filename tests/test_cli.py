@@ -68,6 +68,24 @@ class TestGenVerify:
         assert "verification failed" in err
         assert "b.csv" in err
 
+    @pytest.mark.parametrize(
+        "field,value,first_mismatch",
+        [("seed", 6, "matrix"), ("noise_stddev", 2.0, "eta")],
+    )
+    def test_spec_that_does_not_reproduce_fails(
+        self, tmp_path, capsys, field, value, first_mismatch
+    ):
+        # The manifest is outside the checksum table, so an edited spec
+        # is caught only by regenerating: a new seed draws another matrix,
+        # a new noise level the same matrix with other noise.
+        bundle = _gen(tmp_path)
+        path = bundle / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["spec"][field] = value
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--problem", str(bundle)]) == 1
+        assert f"{first_mismatch} does not reproduce" in capsys.readouterr().err
+
     def test_beta_snap_reported(self, tmp_path, capsys):
         bundle = _gen(tmp_path, beta="0.06")  # 0.06 * 40 = 2.4, snaps to 2/40
         err = capsys.readouterr().err

@@ -520,6 +520,44 @@ class TestSubsetEngine:
         assert np.all(np.diff(rows, axis=1) > 0)
         assert len({tuple(r) for r in rows}) == samples
 
+    def test_key_path_survives_fingerprint_collisions(self, monkeypatch):
+        # Rows 0 and 1 share a word, and the first two key rows draw one
+        # subset holding row 0 and the same subset with row 1 in its
+        # place: distinct subsets with one fingerprint.  The second costs
+        # a draw and is not yielded.
+        m, g, samples = 80, 30, 50
+        real_rng, real_words = np.random.default_rng, linalg._fingerprint_words
+        handed_out = []
+
+        def shared_words(m):
+            words = real_words(m)
+            words[1] = words[0]
+            return words
+
+        class CollidingKeys:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def random(self, shape):
+                keys = self.rng.random(shape)
+                if not handed_out:
+                    keys[0, :2] = 0.0, 1.0
+                    keys[1] = keys[0]
+                    keys[1, :2] = 1.0, 0.0
+                handed_out.append(shape[0])
+                return keys
+
+        monkeypatch.setattr(linalg, "_fingerprint_words", shared_words)
+        monkeypatch.setattr(np.random, "default_rng", CollidingKeys)
+        rows = np.concatenate(list(_random_subsets(m, g, samples, 3, 4)))
+        assert sum(handed_out) == samples + 1
+        assert rows.shape == (samples, g)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert len({tuple(r) for r in rows}) == samples
+        assert rows[0, 0] == 0 and 1 not in rows[0]
+        swapped = np.sort(np.r_[1, rows[0, 1:]])
+        assert not (rows == swapped).all(axis=1).any()
+
     @pytest.mark.parametrize(
         "m,k,samples",
         [(10, 4, 1), (10, 4, 7), (10, 6, 209), (80, 50, 40)],

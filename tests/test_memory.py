@@ -1,4 +1,5 @@
-"""Memory contracts: each path that builds or moves A holds one copy of it.
+"""Memory contracts: each path that builds or moves A holds one copy of it,
+and the subset engine's working set does not grow with the subset size.
 
 tracemalloc sees numpy's buffers, so the traced peak above the starting
 point measures every array a call allocates, its result included.  The
@@ -13,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kqrk import solvers
-from kqrk.linalg import DenseMatrix, row_normalize
+from kqrk import cli, solvers
+from kqrk.linalg import GATHER_BUDGET_BYTES, DenseMatrix, row_normalize, sigma_q_min_sampled
 from kqrk.problems import GenSpec, generate
 from kqrk.serialize import load_problem, save_problem
 
@@ -62,7 +63,25 @@ def test_load_problem(problem, tmp_path):
     assert traced_peak(load_problem, tmp_path / "p") <= 1.25 * A_BYTES
 
 
+def test_verify_problem(problem, tmp_path):
+    # Loading, then regenerating from the spec: the loaded matrix is
+    # dropped before the new one is drawn and compared with the file.
+    save_problem(tmp_path / "p", problem, SPEC)
+    assert traced_peak(cli._verify_problem, tmp_path / "p") <= 1.5 * A_BYTES
+
+
 def test_solver_input_check(problem):
     a = np.array(problem.system.data)
     assert traced_peak(solvers._unpack, (a, problem.b)) <= 0.25 * A_BYTES
     assert traced_peak(solvers._unpack, problem) <= 0.25 * A_BYTES
+
+
+@pytest.mark.parametrize("m,n,samples", [(1000, 10, 2000), (1000, 10, 32000), (2000, 30, 10)])
+def test_sampled_sigma_working_set(m, n, samples):
+    # Level 1/2 draws m/2-row subsets by random keys.  Beside the
+    # m x n(n+1)/2 product table, the engine holds one key chunk or one
+    # subset chunk (each within the budget) and 8 bytes a sample, so a
+    # 16x larger sample stays under the same bound.
+    a, _ = row_normalize(np.random.default_rng(0).standard_normal((m, n)))
+    peak = traced_peak(sigma_q_min_sampled, a, Fraction(1, 2), samples, seed=1)
+    assert peak <= 8 * m * n * (n + 1) / 2 + 2.5 * GATHER_BUDGET_BYTES

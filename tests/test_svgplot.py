@@ -2,8 +2,9 @@
 import re
 
 import numpy as np
+import pytest
 
-from kqrk.svgplot import PALETTE, Series, chart, write_svg
+from kqrk.svgplot import PALETTE, THIN_TO, Series, _Axis, chart, write_svg
 
 
 def _line_series(n=50, seed=0):
@@ -94,6 +95,46 @@ class TestChart:
         text = chart([], title="empty")
         assert text.startswith("<svg ")
         assert text.rstrip().endswith("</svg>")
+
+
+def _per_point(axis, values):
+    """Reference for ``_Axis.positions``: map one point at a time."""
+    return np.array([axis(float(v)) for v in values])
+
+
+def _rough_series(rng, n, marker=None):
+    # Values over many decades, with zeros, negatives and -inf (clamped to
+    # the floor on a log y axis), NaNs and, on a log x axis, non-positive
+    # x (both dropped).
+    x = np.arange(n) - 3.0
+    y = 10.0 ** rng.uniform(-14, 3, n) * rng.choice([1.0, 1.0, 1.0, 0.0, -1.0], n)
+    x[rng.choice(n, n // 50 + 1)] = np.nan
+    y[rng.choice(n, n // 50 + 1)] = np.nan
+    y[rng.choice(n, n // 50 + 1)] = -np.inf
+    return Series(label=f"n{n}", x=x, y=y, marker=marker)
+
+
+class TestBulkPositions:
+    @pytest.mark.parametrize("log", [False, True])
+    def test_positions_match_per_point(self, log):
+        rng = np.random.default_rng(5)
+        values = 10.0 ** rng.uniform(-12, 4, 3000) if log else rng.uniform(-50.0, 1e4, 3000)
+        axis = _Axis(values.min(), values.max(), 494.0, 34.0, log)
+        assert axis.positions(values).tobytes() == _per_point(axis, values).tobytes()
+
+    @pytest.mark.parametrize("xlog", [False, True])
+    @pytest.mark.parametrize("ylog", [False, True])
+    def test_chart_matches_per_point_formatting(self, monkeypatch, xlog, ylog):
+        rng = np.random.default_rng(2 * xlog + ylog)
+        series = [
+            _rough_series(rng, 3 * THIN_TO + 7),
+            _rough_series(rng, 400),
+            _rough_series(rng, 60, marker="dot"),
+        ]
+        bulk = chart(series, xlog=xlog, ylog=ylog)
+        assert bulk.count("<polyline") == 2 and "<circle" in bulk
+        monkeypatch.setattr(_Axis, "positions", _per_point)
+        assert chart(series, xlog=xlog, ylog=ylog) == bulk
 
 
 class TestWriteSvg:
