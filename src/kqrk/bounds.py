@@ -40,6 +40,7 @@ from .linalg import (
     DenseMatrix,
     SigmaQMinResult,
     as_level,
+    check_product_table,
     feasible_level,
     frobenius_sq,
     sigma_q_min_exact,
@@ -183,8 +184,11 @@ def spectral_summary(
     cap: int = SUBSET_ENUMERATION_CAP,
 ) -> SpectralSummary:
     """Compute the singular data a report needs for the given params."""
-    smax, smin = singular_extremes(a)
     lvl_q = params.q - params.beta
+    check_product_table(a, lvl_q)  # before the full SVD
+    if params.q0 is not None:
+        check_product_table(a, params.q0 - params.beta)
+    smax, smin = singular_extremes(a)
     kwargs: dict = {}
     if sigma_mode == "exact":
         sq = sigma_q_min_exact(a, lvl_q, cap=cap)

@@ -39,6 +39,7 @@ from .experiments import (
 )
 from .linalg import (
     NonIntegerQuantileError,
+    ProductTableTooLargeError,
     TooManySubsetsError,
     ZeroRowError,
     as_level,
@@ -412,6 +413,8 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
         )
     except TooManySubsetsError as exc:
         raise UsageError(f"{exc}; use --sigma-mode sampled:N instead") from exc
+    except ProductTableTooLargeError as exc:
+        raise UsageError(str(exc)) from exc
     epsilon = problem.eta + problem.xi
     eta_inf = ordered_magnitude(epsilon, int(beta * problem.m) + 1)
     report = build_report(summary, params, eta_inf=eta_inf, epsilon=epsilon)

@@ -16,17 +16,21 @@ Conventions used throughout the package:
   variant enumerates subsets; the sampled variant inspects a random subset
   of index sets and therefore can only overestimate.
 
-* Both variants share one engine (``_min_over_subsets``), which rules
-  subsets out in three stages.  A batched Cholesky threshold test first
-  clears every subset whose Gram matrix is provably above the running
-  minimum; the rest are screened in batches by the smallest eigenvalue
-  of their Gram matrices; and every subset that neither stage can rule
-  out within a proven slack is re-solved by SVD.  The reported value is
-  always an SVD value, the same one, bit for bit, as running SVD on
-  every subset, so exact mode remains a certificate.  Sampled mode
-  draws distinct subsets by rank in the combinatorial number system (by
-  random keys when C(m, k) >= 2**63), so its cost grows with the sample
-  count only.
+* Both variants share one engine (``_min_over_subsets``) with two
+  sources of subset Gram matrices and one screen.  Exact mode forms
+  every subset's Gram matrix from prefix sums over row subsets in colex
+  order, with no index set per subset.  Sampled mode draws distinct
+  subsets by rank in the combinatorial number system (by random keys
+  when C(m, k) >= 2**63), so its cost grows with the sample count only,
+  and forms their Gram matrices by one BLAS product per chunk.  The
+  screen rules subsets out in three stages.  A batched Cholesky
+  threshold test first clears every subset whose Gram matrix is
+  provably above the running minimum; the rest are screened in batches
+  by the smallest eigenvalue of their Gram matrices; and every subset
+  that neither stage can rule out within a proven slack is re-solved by
+  SVD.  The reported value is always an SVD value, the same one, bit for
+  bit, as running SVD on every subset, so exact mode remains a
+  certificate.
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ __all__ = [
     "NonIntegerQuantileError",
     "SvdConvergenceError",
     "TooManySubsetsError",
+    "ProductTableTooLargeError",
     "row_normalize",
     "row_norms",
     "all_finite",
@@ -55,6 +60,7 @@ __all__ = [
     "frobenius_sq",
     "sigma_q_min_exact",
     "sigma_q_min_sampled",
+    "check_product_table",
 ]
 
 SUBSET_ENUMERATION_CAP = 2_000_000
@@ -62,9 +68,15 @@ UNIT_ROW_TOLERANCE = 1e-12
 # Subset minima are computed in chunks of at most this many bytes of
 # per-subset work arrays, whatever the subset count, and only one chunk's
 # arrays are alive at a time.  Besides one chunk, the engine holds the
-# m-by-n(n+1)/2 product table of its Gram matrices and, when sampling,
-# one 8-byte rank or fingerprint per sample (see _min_over_subsets).
+# m-by-n(n+1)/2 product table of its Gram matrices and, in exact mode,
+# its sums over row subsets (at most half this budget) or, when
+# sampling, one 8-byte rank or fingerprint per sample (see
+# _min_over_subsets).
 GATHER_BUDGET_BYTES = 1 << 20
+# The subset engine refuses, before computing anything, a product table
+# (m by n(n+1)/2 float64) above this many bytes: at m=5000, n=2500 the
+# table alone would be 125 GB.
+PRODUCT_TABLE_BUDGET_BYTES = 1 << 30
 # Whole-matrix passes (row norms, finiteness, row scaling) walk the rows
 # in blocks of at most this many bytes, so none holds an m-by-n temporary.
 ROW_BLOCK_BYTES = 1 << 18
@@ -94,6 +106,10 @@ class SvdConvergenceError(RuntimeError):
 
 class TooManySubsetsError(ValueError):
     """Exact subset enumeration would exceed the configured cap."""
+
+
+class ProductTableTooLargeError(ValueError):
+    """The subset engine's product table would exceed PRODUCT_TABLE_BUDGET_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -339,6 +355,28 @@ def _subset_size(a: DenseMatrix, q: float | Fraction) -> tuple[int, SigmaQMinRes
     return k, SigmaQMinResult(shortcut, "exact", 0, False)
 
 
+def check_product_table(a: DenseMatrix, q: float | Fraction) -> None:
+    """Refuse a sigma_q_min whose product table would exceed the budget.
+
+    Raises :class:`ProductTableTooLargeError` when level ``q`` has no
+    analytic shortcut and the subset engine's table would be above
+    PRODUCT_TABLE_BUDGET_BYTES.  Both sigma_q_min variants make this
+    check before they allocate anything; a caller about to do other
+    costly work first (a full SVD) can make it earlier.
+    """
+    if _subset_size(a, q)[1] is None:
+        _check_table_size(a.m, a.n)
+
+
+def _check_table_size(m: int, n: int) -> None:
+    size = 8 * m * (n * (n + 1) // 2)
+    if size > PRODUCT_TABLE_BUDGET_BYTES:
+        raise ProductTableTooLargeError(
+            f"sigma_q_min at m = {m}, n = {n} needs a product table of {size:,} "
+            f"bytes, above the budget of {PRODUCT_TABLE_BUDGET_BYTES:,} bytes"
+        )
+
+
 def _colex_table(m: int, g: int) -> np.ndarray:
     # table[j, c] = C(c, j) for j <= g and c < m, built by the hockey-stick
     # identity C(c, j) = sum_{t < c} C(t, j-1).  Every entry is at most
@@ -365,12 +403,57 @@ def _unrank(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _all_subsets(m: int, g: int, chunk: int):
-    """Every g-subset of range(m), sorted, in colex order, ``chunk`` at a time."""
-    table = _colex_table(m, g)
-    total = math.comb(m, g)
-    for lo in range(0, total, chunk):
-        yield _unrank(np.arange(lo, min(lo + chunk, total)), table)
+def _low_sums(products: np.ndarray, h: int) -> np.ndarray:
+    """The product-table sums of every h-subset of rows, by colex rank.
+
+    Column r of the result is the sum of the table columns of the h-subset
+    of rank r.  Colex order is prefix-closed: the h-subsets whose largest
+    member is t are the (h-1)-subsets of range(t) (the first C(t, h-1)
+    ranks) with t added, at ranks C(t, h) onwards.  So each level is a
+    prefix of the one below plus one table column, and level 1 is the
+    table itself.
+    """
+    width, m = products.shape
+    if h == 0:
+        return np.zeros((width, 1))
+    sums = products
+    for j in range(2, h + 1):
+        below, sums = sums, np.empty((width, math.comb(m, j)))
+        for t in range(j - 1, m):
+            start, count = math.comb(t, j), math.comb(t, j - 1)
+            np.add(below[:, :count], products[:, t, None], out=sums[:, start:start + count])
+    return sums
+
+
+def _subset_blocks(m: int, g: int, h: int, chunk: int):
+    """Every g-subset of range(m) exactly once, in blocks of at most ``chunk``.
+
+    Yields ``(lo, hi, tops)``: the block is every L | T for L the h-subset
+    of colex rank lo <= r < hi and T a row of ``tops``, a sorted
+    (g - h)-subset.  A g-subset splits uniquely into its h least members
+    L and the rest T; with t = min T, the L that go with T are the
+    h-subsets of range(t), which are exactly the colex ranks below
+    C(t, h).  So the tops are streamed by their least member t, the rest
+    of T in colex order over range(t + 1, m), and each block pairs a run
+    of tops with one run of ranks below C(t, h).  With h = g the only top
+    is the empty set and the blocks run over all C(m, g) ranks.
+    """
+    if g == h:
+        total = math.comb(m, h)
+        for lo in range(0, total, chunk):
+            yield lo, min(lo + chunk, total), np.empty((1, 0), dtype=np.intp)
+        return
+    table = _colex_table(m - h - 1, g - h - 1)
+    for t in range(h, m - g + h + 1):
+        lows = math.comb(t, h)
+        uppers = math.comb(m - 1 - t, g - h - 1)
+        step = min(lows, chunk)
+        per = max(1, chunk // lows)
+        for first in range(0, uppers, per):
+            rest = _unrank(np.arange(first, min(first + per, uppers)), table) + (t + 1)
+            tops = np.concatenate((np.full((len(rest), 1), t), rest), axis=1)
+            for lo in range(0, lows, step):
+                yield lo, min(lo + step, lows), tops
 
 
 def _fingerprint_words(m: int) -> np.ndarray:
@@ -435,62 +518,101 @@ def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
 def _cholesky_clears(gram: np.ndarray, c: float) -> np.ndarray:
     """Which matrices G in a stack of symmetric n-by-n ones provably exceed c I.
 
-    Runs a column Cholesky with square roots on G - c I for the whole
-    stack at once, on one copy laid out entry by entry (so every step
-    works on contiguous vectors as long as the stack), and returns True
-    for each matrix whose every pivot is > 0; a NaN pivot fails.  A
-    matrix that fails is frozen: its pivot is taken as infinite, so its
-    column divides to zero and it no longer changes, and it never clears.
-    A matrix is also frozen, before the division, when an entry below
-    the pivot d has a square above d times its own diagonal: that
-    diagonal would turn negative, so a later pivot would fail anyway.
-    That check bounds every column entry of an unfrozen matrix by the
-    root of the largest diagonal entry D of G - c I, so no entry moves by
-    more than n D in all, and finite input raises no floating-point
-    warning.
+    The stack is left unchanged: the test runs on a copy of its lower
+    triangles, packed as ``_cholesky_clears_into`` wants them.
     """
-    count, n, _ = gram.shape
-    h = gram.transpose(1, 2, 0).copy()
-    diagonal = h.reshape(n * n, count)[:: n + 1]
-    diagonal -= c
-    ok = np.ones(count, dtype=bool)
-    for j in range(n):
-        pivot = diagonal[j]
-        below = h[j + 1:, j]
+    rows, cols = np.triu_indices(gram.shape[1])
+    return _cholesky_clears_into(gram[:, cols, rows].T.copy(), gram.shape[1], c)
+
+
+def _cholesky_clears_into(packed: np.ndarray, n: int, c: float) -> np.ndarray:
+    """``_cholesky_clears`` on a packed stack, overwriting it.
+
+    Row e of ``packed`` holds entry e of every matrix in the stack, the
+    entries of one triangle in ``np.triu_indices(n)`` order, so every
+    step works on contiguous vectors as long as the stack.  Runs a column
+    Cholesky with square roots on G - c I for the whole stack at once and
+    returns True for each matrix whose every pivot is > 0; a NaN pivot
+    fails.  A matrix that fails is frozen: its pivot is taken as
+    infinite, so its column divides to zero and it no longer changes, and
+    it never clears.  A matrix is also frozen, before the division, when
+    an entry below the pivot d has a square above d times its own
+    diagonal: that diagonal would turn negative, so a later pivot would
+    fail anyway.  That check bounds every column entry of an unfrozen
+    matrix by the root of the largest diagonal entry D of G - c I, so no
+    entry moves by more than n D in all, and finite input raises no
+    floating-point warning.
+    """
+    # starts[i]: the packed row of entry (i, i), followed by (i, i+1..n-1)
+    starts = [i * n - i * (i - 1) // 2 for i in range(n)]
+    diagonal = np.array(starts)
+    for i in starts:
+        packed[i] -= c
+    ok = np.ones(packed.shape[1], dtype=bool)
+    for j, start in enumerate(starts):
+        pivot = packed[start]
         ok &= pivot > 0
-        ok &= (below * below <= pivot * diagonal[j + 1:]).all(axis=0)
+        if j == n - 1:
+            break
+        below = packed[start + 1:start + n - j]
+        ok &= (below * below <= pivot * packed[diagonal[j + 1:]]).all(axis=0)
         col = below / np.sqrt(np.where(ok, pivot, np.inf))
-        h[j + 1:, j + 1:] -= col[:, None] * col[None]
+        for r, i in enumerate(starts[j + 1:]):
+            packed[i:i + len(col) - r] -= col[r] * col[r:]
     return ok
 
 
 def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: int = 0) -> float:
     """Minimum SVD sigma_min over k-row subsets: all of them, or ``samples`` drawn ones.
 
-    Each chunk's Gram matrices A_S^T A_S come from one BLAS product P W:
-    row (i, j) of P, for i <= j, holds the products a_ri a_rj over the
-    rows r, and column s of the m-by-N 0/1 matrix W marks the rows of
-    subset s, so every Gram entry is a dot product of length m.  A chunk
-    holds N = GATHER_BUDGET_BYTES / (8 (m + 2 n**2)) subsets, so that W,
-    the N Gram matrices and the Cholesky test's copy of them fit the
-    budget together.  The working set is therefore P (8 m n (n + 1) / 2
-    bytes, built once), one chunk's arrays (each chunk is released
-    before the next is drawn) and, in sampled mode, the sampler's one
-    8-byte rank or fingerprint per sample: it does not grow with the
-    subset size, and grows with the sample count by 8 bytes a sample.
-    A batched Cholesky test (``_cholesky_clears``)
-    against the running minimum b clears most of them; the rest are
-    screened by one batched ``eigvalsh``.  A subset is re-solved by SVD
-    unless one of the two shows it cannot attain the minimum, and the
-    result is the minimum of those SVD values.  Before the first chunk,
-    b is the SVD value of its first subset, so every chunk is tested
-    against a value already found.
+    Gram matrices.  Row (i, j) of the product table P, for i <= j, holds
+    the products a_ri a_rj over the rows r, so the packed Gram matrix
+    A_S^T A_S of a subset S is the sum of P's columns over S.  When
+    2k > m a subset is named by the g = m - k rows it drops (else g = k
+    and by the rows it keeps), and its Gram matrix is the full sum of P's
+    columns less the sum over the dropped rows.
+
+    * Exact mode forms no index sets.  Colex order is prefix-closed, so
+      one pass (``_low_sums``) gives the sums over every h-subset of
+      rows, and each g-subset splits into its h least rows and a top T
+      of g - h rows, with the h-subsets that go with T exactly the colex
+      ranks below C(min T, h) (``_subset_blocks``).  A block's Gram
+      matrices are the sum over its tops (the full sum less it when
+      dropping) plus (less) a run of low sums: one broadcast operation,
+      and every g-subset is formed once.  h is the largest value, at
+      most g, for which the low sums (8 C(m, h) n (n + 1) / 2 bytes) fit
+      in half of GATHER_BUDGET_BYTES; at h = 1 they are P itself.  A
+      chunk holds GATHER_BUDGET_BYTES / (8 (n (n + 1) / 2 + 2 n**2))
+      subsets: their packed Gram matrices and the test's work arrays.
+    * Sampled subsets share no prefixes, so each chunk's Gram matrices
+      come from one BLAS product P W, where column s of the m-by-N 0/1
+      matrix W marks the rows of subset s (those it keeps when
+      dropping), with N = GATHER_BUDGET_BYTES / (8 (m + 2 n**2)).
+
+    The working set is P (8 m n (n + 1) / 2 bytes, built once), in exact
+    mode the low sums (at most half the budget), one chunk's arrays
+    (each chunk is released before the next is formed) and, in sampled
+    mode, the sampler's one 8-byte rank or fingerprint per sample: it
+    does not grow with the subset size, and grows with the sample count
+    by 8 bytes a sample.
+
+    Both sources feed one screen.  A batched Cholesky test
+    (``_cholesky_clears_into``) against the running minimum b clears
+    most of a chunk; the rest are screened by one batched ``eigvalsh``.
+    A subset is re-solved by SVD unless one of the two shows it cannot
+    attain the minimum, and the result is the minimum of those SVD
+    values.  Before the first chunk, b is the SVD value of its first
+    subset, so every chunk is tested against a value already found.
 
     Soundness of the screen.  Let G = A_S^T A_S, so lambda_min(G) =
     sigma_min(A_S)**2 (k >= n here), write F = ||A||_F**2 and u for the
     unit roundoff.  Forming G in floating point perturbs it by a matrix
-    of 2-norm at most about (m + 1)u F (dot products of length m, in any
-    order the BLAS picks, of products rounded once).  ``eigvalsh``
+    of 2-norm at most about (m + g + 2)u F: each entry is a sum of
+    products rounded once, in any order (the BLAS picks it in sampled
+    mode), of at most m terms, or in exact drop form the full sum of m
+    products less a sum of g of them, each accurate to its term count
+    times u F, and the difference rounded once.  As g <= m / 2 this is
+    below (m + 2) eps F.  ``eigvalsh``
     is backward stable: its lambda_min is exact for G plus a further
     perturbation of norm p(n)u||G|| <= p(n)u F.  By Weyl's inequality the
     screened value mu therefore lies within the sum of those norms of
@@ -541,23 +663,19 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     """
     data = a.data
     m, n = data.shape
+    _check_table_size(m, n)
     drop = 2 * k > m
     g = m - k if drop else k
-    chunk = max(1, GATHER_BUDGET_BYTES // (8 * (m + 2 * n * n)))
-    if samples is None:
-        chunks = _all_subsets(m, g, chunk)
-    else:
-        chunks = _random_subsets(m, g, samples, seed, chunk)
     # products[(i, j), r] = a_ri a_rj for i <= j in triu order, filled one
     # row block of the triangle at a time so no m-by-n(n+1)/2 temporary
-    # sits beside it; the transpose keeps the layout the BLAS product sees.
+    # sits beside it.
     upper = np.triu_indices(n)
-    table = np.empty((m, len(upper[0])))
+    width = len(upper[0])
+    products = np.empty((width, m))
     for i, start in enumerate(np.flatnonzero(upper[0] == upper[1])):
-        np.multiply(data[:, i, None], data[:, i:], out=table[:, start:start + n - i])
-    products = table.T
+        np.multiply(data[:, i], data[:, i:].T, out=products[start:start + n - i])
     entry = np.empty((n, n), dtype=np.intp)
-    entry[upper] = entry.T[upper] = np.arange(len(upper[0]))
+    entry[upper] = entry.T[upper] = np.arange(width)
     fro = frobenius_sq(a)
     eps = np.finfo(np.float64).eps
     tau = SCREEN_SLACK * (m + n) * eps * fro
@@ -566,28 +684,80 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     def svd_value(members: np.ndarray) -> float:
         return _subset_min_singular(data[np.delete(np.arange(m), members) if drop else members])
 
-    def chunk_min(idx: np.ndarray, best: float) -> float:
-        # A function, so the chunk's arrays are freed when it returns.
+    def chunk_min(stack: np.ndarray, sums_of, members, best: float) -> float:
+        # stack[:, s] is the packed Gram matrix of subset s, overwritten
+        # by the test; sums_of(s) recomputes such columns, members(s)
+        # gives the subset's rows.  A function, so the chunk's arrays are
+        # freed when it returns.
         if math.isinf(best):
-            best = svd_value(idx[0])
-        weights = np.full((m, len(idx)), float(drop))
-        weights[idx, np.arange(len(idx))[:, None]] = float(not drop)
-        gram = (products @ weights)[entry].transpose(2, 0, 1)
-        del weights
-        left = np.flatnonzero(~_cholesky_clears(gram, best * best + tau + tau_chol))
+            best = svd_value(members(0))
+        left = np.flatnonzero(~_cholesky_clears_into(stack, n, best * best + tau + tau_chol))
         if not left.size:
             return best
-        low = np.linalg.eigvalsh(gram[left])[:, 0]
+        low = np.linalg.eigvalsh(sums_of(left).T[:, entry])[:, 0]
         cut = min(best * best, float(low.min()) + tau) + tau
         for i in left[low <= cut]:
-            best = min(best, svd_value(idx[i]))
+            best = min(best, svd_value(members(i)))
         return best
 
     best = math.inf
-    for idx in chunks:
-        if len(idx):
-            best = chunk_min(idx, best)
-        del idx  # freed before the next chunk is drawn
+    if samples is not None:
+        chunk = max(1, GATHER_BUDGET_BYTES // (8 * (m + 2 * n * n)))
+        for idx in _random_subsets(m, g, samples, seed, chunk):
+            if len(idx):
+                weights = np.full((m, len(idx)), float(drop))
+                weights[idx, np.arange(len(idx))[:, None]] = float(not drop)
+                sums = products @ weights
+                del weights
+                best = chunk_min(sums.copy(), lambda s: sums[:, s], idx.__getitem__, best)
+                del sums
+            del idx  # freed before the next chunk is drawn
+        return best
+    chunk = max(1, GATHER_BUDGET_BYTES // (8 * (width + 2 * n * n)))
+    # the largest h <= g whose low sums fit half the budget; at h = 1
+    # they are the product table itself, which is held anyway
+    h = min(g, 1)
+    while h < g and 16 * width * math.comb(m, h + 1) <= GATHER_BUDGET_BYTES:
+        h += 1
+    lows = _low_sums(products, h)
+    full = products.sum(axis=1)
+    colex = _colex_table(m, h)
+    op = np.subtract if drop else np.add
+
+    def block_min(lo: int, hi: int, tops: np.ndarray, best: float) -> float:
+        # The block's Gram matrices are its top sums (the full sum less
+        # them when dropping) with a run of low sums added (subtracted).
+        # Subset s pairs top s // l with low lo + s % l or, when the lows
+        # are the shorter run, low lo + s // u with top s % u, so that
+        # numpy's inner loop runs over the longer.
+        top = np.zeros((width, len(tops)))
+        for column in tops.T:
+            top += products[:, column]
+        if drop:
+            np.subtract(full[:, None], top, out=top)
+        u, l = top.shape[1], hi - lo
+        low_major = l < u
+        stack = np.empty((width, u * l))
+        if low_major:
+            op(top[:, None, :], lows[:, lo:hi, None], out=stack.reshape(width, l, u))
+        else:
+            op(top[:, :, None], lows[:, None, lo:hi], out=stack.reshape(width, u, l))
+
+        def split(s):
+            return (s % u, lo + s // u) if low_major else (s // l, lo + s % l)
+
+        def sums_of(s: np.ndarray) -> np.ndarray:
+            i, r = split(s)
+            return op(top[:, i], lows[:, r])
+
+        def members(s: int) -> np.ndarray:
+            i, r = split(int(s))
+            return np.concatenate((_unrank(np.array([r]), colex)[0], tops[i]))
+
+        return chunk_min(stack, sums_of, members, best)
+
+    for lo, hi, tops in _subset_blocks(m, g, h, chunk):
+        best = block_min(lo, hi, tops, best)
     return best
 
 

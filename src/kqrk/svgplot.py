@@ -122,7 +122,7 @@ class _Axis:
 def _data_range(values: list[np.ndarray], log: bool) -> tuple[float, float]:
     lo, hi = math.inf, -math.inf
     for arr in values:
-        keep = arr[arr > 0] if log else arr[np.isfinite(arr)]
+        keep = arr[np.isfinite(arr) & (arr > 0)] if log else arr[np.isfinite(arr)]
         if keep.size:
             lo = min(lo, float(keep.min()))
             hi = max(hi, float(keep.max()))
@@ -155,7 +155,7 @@ def chart(
     floor = None
     if ylog:
         # points at/below zero get clamped one decade under the positive min
-        pos = [a[a > 0] for a in ys]
+        pos = [a[np.isfinite(a) & (a > 0)] for a in ys]
         smallest = min((float(a.min()) for a in pos if a.size), default=1e-16)
         floor = 10.0 ** (math.floor(math.log10(smallest)) - 1)
         ys = [np.maximum(a, floor) for a in ys]

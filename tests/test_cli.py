@@ -253,6 +253,21 @@ class TestBounds:
         assert rc == 2
         assert "--sigma-mode sampled:N instead" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled:50"])
+    def test_product_table_over_budget_exits_2_before_the_svd(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        from kqrk import bounds, linalg
+
+        bundle = _gen(tmp_path, m=12, n=3, beta="1/12", scale="20")
+        monkeypatch.setattr(linalg, "PRODUCT_TABLE_BUDGET_BYTES", 8 * 12 * 6 - 1)
+        monkeypatch.setattr(bounds, "singular_extremes", None)
+        argv = ["bounds", "--problem", str(bundle), "--q", "2/3", "--q0", "1/3",
+                "--sigma-mode", mode, "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert "product table of 576 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_decimal_and_rational_levels_write_the_same_report(self, tmp_path):
         bundle = _gen(tmp_path, m=10, n=2, beta="1/10", scale="20")
         reports = []

@@ -15,16 +15,20 @@ import _oracles as orc
 from kqrk import linalg
 from kqrk.linalg import (
     CHOLESKY_SLACK,
-    _all_subsets,
     _cholesky_clears,
+    _colex_table,
     _min_over_subsets,
     _random_subsets,
+    _subset_blocks,
+    _unrank,
     DenseMatrix,
     MultisetQuantileSpec,
     NonIntegerQuantileError,
+    ProductTableTooLargeError,
     TooManySubsetsError,
     ZeroRowError,
     as_level,
+    check_product_table,
     feasible_level,
     frobenius_sq,
     quantile,
@@ -278,6 +282,23 @@ class TestSigmaQMin:
         with pytest.raises(TooManySubsetsError):
             sigma_q_min_exact(dm, Fraction(1, 2))
 
+    def test_product_table_budget(self, monkeypatch):
+        # Refused before any allocation, in both modes; a level with an
+        # analytic shortcut needs no table and is not refused.
+        dm = rand_matrix(np.random.default_rng(6), 12, 3)
+        monkeypatch.setattr(linalg, "PRODUCT_TABLE_BUDGET_BYTES", 8 * 12 * 6 - 1)
+        monkeypatch.setattr(np, "empty", None)  # the table's allocation would fail
+        with pytest.raises(ProductTableTooLargeError, match="table of 576 bytes"):
+            sigma_q_min_exact(dm, Fraction(1, 2))
+        with pytest.raises(ProductTableTooLargeError):
+            sigma_q_min_sampled(dm, Fraction(1, 2), 10, seed=1)
+        with pytest.raises(ProductTableTooLargeError):
+            check_product_table(dm, Fraction(1, 2))
+        check_product_table(dm, Fraction(2, 12))
+        assert sigma_q_min_exact(dm, Fraction(2, 12)).value == 0.0
+        monkeypatch.setattr(linalg, "PRODUCT_TABLE_BUDGET_BYTES", 8 * 12 * 6)
+        check_product_table(dm, Fraction(1, 2))
+
     def test_sampled_is_upper_bound(self):
         rng = np.random.default_rng(7)
         for seed in range(6):
@@ -472,9 +493,21 @@ class TestSubsetEngine:
 
     @pytest.mark.parametrize("m,g", [(1, 0), (5, 0), (5, 1), (6, 3), (9, 4), (12, 5)])
     def test_enumeration_is_every_subset_once(self, m, g):
-        rows = np.concatenate(list(_all_subsets(m, g, 7)))
-        assert rows.shape == (math.comb(m, g), g)
-        assert {tuple(r) for r in rows} == set(itertools.combinations(range(m), g))
+        # Exact mode pairs each top (the g - h largest members) with the
+        # colex run of h-subsets below its least member, for every low
+        # size h from 0 (one subset per block) to g (the empty top).
+        for h in range(g + 1):
+            lows = _unrank(np.arange(math.comb(m, h)), _colex_table(m, h))
+            rows = []
+            for lo, hi, tops in _subset_blocks(m, g, h, 7):
+                assert 0 <= lo < hi and (hi - lo) * len(tops) <= 7
+                assert tops.shape[1] == g - h and np.all(np.diff(tops, axis=1) > 0)
+                for top in tops:
+                    for low in lows[lo:hi]:
+                        assert not len(top) or not len(low) or low[-1] < top[0]
+                        rows.append(tuple(np.r_[low, top]))
+            assert len(rows) == math.comb(m, g)
+            assert set(rows) == set(itertools.combinations(range(m), g))
 
     @pytest.mark.parametrize(
         "m,g,samples",
@@ -570,6 +603,44 @@ class TestSubsetEngine:
         assert sigma_q_min_sampled(dm, Fraction(k, m), samples, seed=5) == first
         if m <= 12:
             assert first.value >= sigma_q_min_exact(dm, Fraction(k, m)).value
+
+
+# sigma_q_min of the benchmark's certify bundles (``kqrk gen`` with scale
+# 100 and noise 1) at the two levels ``kqrk bounds`` certifies, q - beta
+# and q0 - beta, sampled with seeds 0 and 1 where the mode is sampled.
+# Recorded with the engine that formed every Gram matrix by one GEMM
+# against a 0/1 subset indicator, so they hold the prefix-sum engine to it.
+CERTIFY_BUNDLES = {
+    "exact": (24, 4, Fraction(1, 24), Fraction(11, 12), Fraction(3, 4), None),
+    "dense": (22, 4, Fraction(1, 22), Fraction(19, 22), Fraction(3, 11), 7314),
+    "tall": (500, 20, Fraction(1, 50), Fraction(4, 5), Fraction(3, 5), 2000),
+}
+CERTIFY_VALUES = {
+    ("exact", 1): (1.2760760404069722, 0.8188090351213454),
+    ("exact", 2): (1.1474165528713878, 0.6427001435590979),
+    ("exact", 11): (1.021286941828184, 0.6199278057380159),
+    ("dense", 1): (0.9519759661794847, 0.0015877288883660225),
+    ("dense", 2): (0.9020782809923086, 0.007891103581436604),
+    ("dense", 11): (0.7634350114643877, 0.009785831169326771),
+    ("tall", 1): (3.326578491467384, 2.708398911816128),
+    ("tall", 2): (3.3628979071154372, 2.66437927682794),
+    ("tall", 11): (3.304417123051095, 2.647952277035607),
+}
+
+
+@pytest.mark.parametrize("bundle,seed", list(CERTIFY_VALUES))
+def test_certify_bundle_values(bundle, seed):
+    from kqrk.problems import GenSpec, generate
+
+    m, n, beta, q, q0, samples = CERTIFY_BUNDLES[bundle]
+    spec = GenSpec(m=m, n=n, beta=beta, corruption_scale=100.0, noise_stddev=1.0, seed=seed)
+    a = generate(spec).system
+    got = tuple(
+        (sigma_q_min_exact(a, level) if samples is None
+         else sigma_q_min_sampled(a, level, samples, i)).value
+        for i, level in enumerate((q - beta, q0 - beta))
+    )
+    assert got == CERTIFY_VALUES[bundle, seed]
 
 
 class TestSingularExtremes:

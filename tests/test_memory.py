@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from kqrk import cli, solvers
-from kqrk.linalg import GATHER_BUDGET_BYTES, DenseMatrix, row_normalize, sigma_q_min_sampled
+from kqrk.linalg import (
+    GATHER_BUDGET_BYTES,
+    DenseMatrix,
+    row_normalize,
+    sigma_q_min_exact,
+    sigma_q_min_sampled,
+)
 from kqrk.problems import GenSpec, generate
 from kqrk.serialize import load_problem, save_problem
 
@@ -84,4 +90,15 @@ def test_sampled_sigma_working_set(m, n, samples):
     # 16x larger sample stays under the same bound.
     a, _ = row_normalize(np.random.default_rng(0).standard_normal((m, n)))
     peak = traced_peak(sigma_q_min_sampled, a, Fraction(1, 2), samples, seed=1)
+    assert peak <= 8 * m * n * (n + 1) / 2 + 2.5 * GATHER_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("k", [22, 7])
+def test_exact_sigma_working_set(k):
+    # C(29, 7) = 1,560,780 subsets, dropping 7 rows (k = 22) or keeping 7.
+    # Beside the product table, exact mode holds the sums over every
+    # h-subset of rows (at most half the budget) and one chunk.
+    m, n = 29, 4
+    a, _ = row_normalize(np.random.default_rng(3).standard_normal((m, n)))
+    peak = traced_peak(sigma_q_min_exact, a, Fraction(k, m))
     assert peak <= 8 * m * n * (n + 1) / 2 + 2.5 * GATHER_BUDGET_BYTES

@@ -96,6 +96,15 @@ class TestChart:
         assert text.startswith("<svg ")
         assert text.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize("y", [[1, 10, np.inf, 100, 5.0], [np.inf] * 5])
+    def test_infinite_values_on_a_log_axis(self, y):
+        # +inf is dropped from the plot, so it must not set the axis range
+        s = Series("a", np.arange(1.0, 6.0), np.array(y))
+        text = chart([s], ylog=True)
+        assert text.rstrip().endswith("</svg>")
+        finite = Series("a", np.arange(1.0, 6.0), np.where(np.isinf(y), np.nan, y))
+        assert text == chart([finite], ylog=True)
+
 
 def _per_point(axis, values):
     """Reference for ``_Axis.positions``: map one point at a time."""
