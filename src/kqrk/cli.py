@@ -352,7 +352,7 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
         x0=opt["x0"],
         residual_mode=opt["residual_mode"],
     )
-    trace = run(problem, config)
+    trace = run(problem, config, residual_norms=True)
     trace_path = Path(opt["trace"])
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     save_trace_csv(trace_path, trace)

@@ -33,7 +33,7 @@ from .problems import (
     ordered_magnitude,
 )
 from .serialize import fmt_float
-from .solvers import DEFAULT_HORIZON_WINDOW, SolverConfig, horizon_estimate, run
+from .solvers import DEFAULT_HORIZON_WINDOW, SolverConfig, horizon_estimate, run, run_batch
 from . import svgplot
 
 __all__ = [
@@ -312,15 +312,25 @@ def _run_curves(spec: ExperimentSpec, scale: float, threads: int) -> ExperimentR
     for ei, ens in enumerate(spec.ensembles):
         problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, ei, 0, 0)))
 
-        def one(job):
-            mi, meth = job
-            cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, 0, 0, mi))
-            return meth, run(problem, cfg)
+        cfgs = [
+            _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, 0, 0, mi))
+            for mi, meth in enumerate(spec.methods)
+        ]
+        # rk runs alone and the quantile methods as one batch, a grouping
+        # that does not follow ``threads``.
+        rk = [c for c in cfgs if c.method == "rk"]
+        groups = [g for g in (rk, [c for c in cfgs if c.method != "rk"]) if g]
 
-        for meth, trace in _pool_map(one, list(enumerate(spec.methods)), threads):
-            curves[ens][meth] = trace.sq_errors
-            horizons[ens][meth] = horizon_estimate(trace, spec.horizon_window)
-        del problem
+        def one(group):
+            if group[0].method == "rk":
+                return [run(problem, group[0])]
+            return run_batch(problem, group)
+
+        traces = {t.method: t for ts in _pool_map(one, groups, threads) for t in ts}
+        for meth in spec.methods:
+            curves[ens][meth] = traces[meth].sq_errors
+            horizons[ens][meth] = horizon_estimate(traces[meth], spec.horizon_window)
+        del problem, traces
     return ExperimentResult(
         spec=spec,
         curves=curves,
@@ -362,8 +372,8 @@ def run_experiment(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResul
 
     fig1 (noise only) and fig2 (sparse corruption of magnitude
     corruption_scale) give one curve per (ensemble, method): each
-    ensemble's problem is generated and dropped in turn, its methods
-    shared over ``threads``.  fig3 gives one point per (scale, trial,
+    ensemble's problem is generated and dropped in turn, its rk run and
+    its one qrk/dqrk batch shared over ``threads``.  fig3 gives one point per (scale, trial,
     method), its (scale, trial) cells shared over ``threads``.
     """
     if spec.figure == "fig3":

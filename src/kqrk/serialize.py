@@ -258,8 +258,9 @@ def load_problem(directory: str | Path) -> tuple[CorruptedProblem, dict]:
 def save_trace_csv(path, trace) -> None:
     """Write a solver trace as CSV: k, sq_error, residual_norm,
     chosen_index, Q0, Q.  Columns that do not apply stay empty (rk has no
-    quantiles; the final state has no chosen index)."""
-    states = len(trace.residual_norms)
+    quantiles; the final state has no chosen index; a trace run without
+    residual norms has none)."""
+    states = len(trace.admissible_sizes)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "sq_error", "residual_norm", "chosen_index", "Q0", "Q"])
@@ -268,7 +269,8 @@ def save_trace_csv(path, trace) -> None:
                 [
                     str(k),
                     "" if trace.sq_errors is None else fmt_float(float(trace.sq_errors[k])),
-                    fmt_float(float(trace.residual_norms[k])),
+                    "" if trace.residual_norms is None
+                    else fmt_float(float(trace.residual_norms[k])),
                     str(int(trace.chosen_indices[k])) if k < len(trace.chosen_indices) else "",
                     "" if trace.quantiles_q0 is None else fmt_float(float(trace.quantiles_q0[k])),
                     "" if trace.quantiles_q is None else fmt_float(float(trace.quantiles_q[k])),

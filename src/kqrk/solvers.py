@@ -16,18 +16,22 @@ rows the residual entries are scaled by 1 / |a_j|^2 before ranking, and
 selection within the admissible set is weighted by |a_i|^2 (uniform for
 unit rows).
 
-``run`` is the one step kernel, with one residual policy per method.
-rk never reads the residual: it draws every row up front, steps in O(n)
-on r_i = b_i - <a_i, x>, and fills the residual norms afterwards by one
+There is one step loop per residual policy.  rk (``run``) never reads
+the residual: it draws every row up front and steps in O(n) on
+r_i = b_i - <a_i, x>; residual norms, recorded only on request, take one
 b - A X product per block of ``RK_BLOCK`` stored iterates.  qrk and dqrk
-rank the full residual b - A x, one gemv per step into buffers made once
-per run, or with ``residual_mode="incremental"`` update it by rows of
-the Gram matrix A A^T, re-synced every ``RESYNC_EVERY`` steps.
+(``run_batch``; ``run`` is a batch of one) step any number of runs of one
+problem in lockstep.  Each ranks its full residual b - A x every step, or
+with ``residual_mode="incremental"`` updates it by rows of one shared
+Gram matrix A A^T, re-synced every ``RESYNC_EVERY`` steps.  Two or more
+runs form their residuals by one product A [x_1 ... x_B] per step while
+A is at most ``SHARED_PRODUCT_BYTES`` (the measured crossover against one
+gemv each), so a batch's traces may differ from solo runs in last bits.
 
 The quantile ceilings of the paper's analysis are evaluated after the
 run: ``quantile_bounds`` maps a trace's squared errors to the sparse and
-noisy ceilings, and ``quantile_diagnostic`` checks one iterate against
-them.  ``horizon_estimate`` reads the squared-error plateau of a trace.
+noisy ceilings.  ``horizon_estimate`` reads the squared-error plateau of
+a trace.
 
 Band selection on unit rows sorts a copy of the keys and returns the
 row a stable argsort would put at the chosen rank, so ties go to the
@@ -54,9 +58,9 @@ __all__ = [
     "InvalidRegimeError",
     "ResidualDriftError",
     "run",
+    "run_batch",
     "horizon_estimate",
     "quantile_bounds",
-    "quantile_diagnostic",
 ]
 
 METHODS = ("rk", "qrk", "dqrk")
@@ -66,6 +70,10 @@ RESIDUAL_DRIFT_SLACK = 2
 # Steps between exact residual resyncs in residual_mode="incremental".
 RESYNC_EVERY = 1000
 RK_BLOCK = 64
+# Largest A, in bytes, for which two or more runs share one residual product
+# per step.  A constant, not a host probe, so output bytes never follow the
+# machine; README records the crossover it was set from.
+SHARED_PRODUCT_BYTES = 2 * 2**20
 DEFAULT_HORIZON_WINDOW = 100
 
 
@@ -144,11 +152,12 @@ class RunTrace:
     All per-state arrays have length iterations + 1, index 0 being the
     initial state; ``chosen_indices`` has length iterations (the row used
     to move from state k to state k+1).  Quantile arrays are None for rk.
-    ``sq_errors`` is None when the true solution is unknown.
+    ``sq_errors`` is None when the true solution is unknown, and
+    ``residual_norms`` unless the run was asked for them.
     """
 
     method: str
-    residual_norms: np.ndarray
+    residual_norms: np.ndarray | None
     chosen_indices: np.ndarray
     admissible_sizes: np.ndarray
     final_x: np.ndarray
@@ -209,18 +218,17 @@ def _select_in_band(
 
     Q0 and Q are the k_lo-th and k_hi-th smallest keys (Q0 is unused when
     k_lo is 0).  The row is the one a stable argsort would put at the
-    chosen rank, so ties go to the lowest row index.  ``s`` (float) and
-    ``hits`` (bool), shaped like ``keys``, are optional work buffers.
+    chosen rank, so ties go to the lowest row index.  On unit rows ``s``,
+    if given, holds ``keys`` sorted, and ``hits`` (bool, shaped like
+    ``keys``) is an optional work buffer.
     """
     if not unit_rows:
         order = np.argsort(keys, kind="stable")
         band = order[k_lo:k_hi]
         i = int(band[_pick_rows(row_sq[band], False, u)])
         return i, float(keys[order[k_lo - 1]]), float(keys[order[k_hi - 1]])
-    if s is None:
-        s, hits = np.empty_like(keys), np.empty(keys.shape, dtype=bool)
-    np.copyto(s, keys)
-    s.sort()
+    s = np.sort(keys) if s is None else s
+    hits = np.empty(keys.shape, dtype=bool) if hits is None else hits
     pos = k_lo + min(int(u * (k_hi - k_lo)), k_hi - k_lo - 1)
     v = s[pos]
     if v == v and (pos == 0 or s[pos - 1] != v):
@@ -296,132 +304,183 @@ def _drift_tolerance(steps: int, n: int, rho: float, b_inf: float, ax_peak: floa
     return RESIDUAL_DRIFT_SLACK * (steps + 1) * (n + 4) * eps * rho * (b_inf + ax_peak)
 
 
-def run(problem, config: SolverConfig) -> RunTrace:
+def _residuals(a: np.ndarray, b: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> None:
+    """rs = b - A x for each row x of xs, by one product through a C-ordered
+    copy of xs^T while that pays (module docstring), else one gemv a row."""
+    if len(xs) > 1 and a.nbytes <= SHARED_PRODUCT_BYTES:
+        np.subtract(b, np.matmul(a, np.ascontiguousarray(xs.T)).T, out=rs)
+    else:
+        for x, r in zip(xs, rs):
+            np.subtract(b, np.matmul(a, x, out=r), out=r)
+
+
+class _Run:
+    """One run's settings, random streams and trace arrays.  Two streams
+    split off config.seed, one to initialize and one to select rows, whose
+    uniforms are all drawn up front (rk draws its rows from them at once)."""
+
+    def __init__(self, config, a, b, x_star, row_sq, unit_rows, residual_norms):
+        big_k, quantile = config.iterations, config.method != "rk"
+        self.method, self.iterations, self.stop_below = config.method, big_k, config.stop_below
+        self.incremental = config.residual_mode == "incremental"
+        self.k_lo, self.k_hi = _resolve_counts(config.method, config.q, config.q0, a.shape[0])
+        init_ss, sel_ss = np.random.SeedSequence(config.seed).spawn(2)
+        self.uniforms = np.random.default_rng(sel_ss).random(big_k)
+        self.x = _initial_x(config, a, b, row_sq, unit_rows, np.random.default_rng(init_ss))
+        if config.stop_below is not None and x_star is None:
+            raise InvalidSpecError("stop_below needs a problem with a known solution")
+        self.xsq_peak = float(self.x @ self.x)
+        self.last, self.r = big_k, None  # r: the residual row run_batch steps
+        self.chosen = np.empty(big_k, dtype=np.int64) if quantile else _pick_rows(
+            row_sq, unit_rows, self.uniforms)
+        self.sq_errors = None if x_star is None else np.empty(big_k + 1)
+        self.residual_sq = np.empty(big_k + 1) if residual_norms else None
+        self.quants_hi = np.empty(big_k + 1) if quantile else None
+        self.quants_lo = np.empty(big_k + 1) if config.method == "dqrk" else None
+
+    def trace(self) -> RunTrace:
+        def states(v):
+            return None if v is None else v[: self.last + 1]
+
+        return RunTrace(
+            method=self.method,
+            residual_norms=None if self.residual_sq is None else np.sqrt(states(self.residual_sq)),
+            chosen_indices=self.chosen[: self.last],
+            admissible_sizes=np.full(self.last + 1, self.k_hi - self.k_lo, dtype=np.int64),
+            final_x=self.x,
+            sq_errors=states(self.sq_errors),
+            quantiles_q0=states(self.quants_lo),
+            quantiles_q=states(self.quants_hi),
+        )
+
+
+def run(problem, config: SolverConfig, *, residual_norms: bool = False) -> RunTrace:
     """Run a solver for config.iterations steps and record a full trace.
 
-    Deterministic for fixed (problem, config): randomness comes from two
-    streams split off config.seed, one for initialization and one for row
-    selection, with all selection uniforms drawn up front.  A and b must
-    be finite, with one entry of b per row of A; otherwise ValueError.
+    Deterministic for fixed (problem, config).  A and b must be finite,
+    with one entry of b per row of A; otherwise ValueError.  The trace's
+    residual norms are recorded only with ``residual_norms=True``; rk pays
+    one b - A X product per block of stored iterates for them.  qrk and
+    dqrk run as a batch of one (``run_batch``).
     """
+    if config.method != "rk":
+        return run_batch(problem, [config], residual_norms=residual_norms)[0]
+    a, b, x_star, unit_rows = _unpack(problem)
+    row_sq = _row_sq_norms(a, unit_rows)
+    t = _Run(config, a, b, x_star, row_sq, unit_rows, residual_norms)
+    x, big_k, (m, n) = t.x, t.iterations, a.shape
+    # The pick never reads the residual: step on r_i = b_i - a_i.x alone,
+    # and get errors (and residual norms, if asked) from the stored
+    # iterates, one block at a time.
+    block = min(RK_BLOCK, big_k + 1)
+    xs, step = np.empty((block, n)), np.empty(n)
+    axs = np.empty((block, m)) if residual_norms else None
+    start = 0
+    for k in range(big_k + 1):
+        xs[k - start] = x
+        if k == big_k or k - start == block - 1:
+            stored = xs[: k - start + 1]
+            if residual_norms:
+                ax = np.matmul(stored, a.T, out=axs[: k - start + 1])
+                np.subtract(b, ax, out=ax)
+                t.residual_sq[start : k + 1] = np.einsum("ij,ij->i", ax, ax)
+            if t.sq_errors is not None:
+                d = stored - x_star
+                errs = t.sq_errors[start : k + 1]
+                errs[:] = np.einsum("ij,ij->i", d, d)
+                hit = np.flatnonzero(errs < t.stop_below) if t.stop_below else ()
+                if len(hit):
+                    t.last = start + int(hit[0])
+                    x = xs[hit[0]].copy()
+                    break
+            if k == big_k:
+                break
+            start = k + 1
+        i = t.chosen[k]
+        row = a[i]
+        np.multiply(row, (b[i] - row @ x) / row_sq[i], out=step)
+        np.add(x, step, out=x)
+    t.x = x
+    return t.trace()
+
+
+def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrace]:
+    """Run qrk/dqrk configs on one problem in lockstep; one trace per config.
+
+    Each run keeps its own iterations, stop_below, start and seed, and
+    leaves the batch when it stops.  Where every step takes the gemv (one
+    run left, or A above SHARED_PRODUCT_BYTES) a trace is bitwise its solo
+    run's; the shared product moves its floats by about 1e-15 relative.
+    """
+    if any(c.method == "rk" for c in configs):
+        raise InvalidSpecError("run_batch takes qrk/dqrk configs")
     a, b, x_star, unit_rows = _unpack(problem)
     m, n = a.shape
-    big_k = config.iterations
     row_sq = _row_sq_norms(a, unit_rows)
-    k_lo, k_hi = _resolve_counts(config.method, config.q, config.q0, m)
-
-    init_ss, sel_ss = np.random.SeedSequence(config.seed).spawn(2)
-    init_rng = np.random.default_rng(init_ss)
-    uniforms = np.random.default_rng(sel_ss).random(big_k)
-
-    x = _initial_x(config, a, b, row_sq, unit_rows, init_rng)
-
-    track_err = x_star is not None
-    stop_below = config.stop_below
-    if stop_below is not None and not track_err:
-        raise InvalidSpecError("stop_below needs a problem with a known solution")
-    sq_errors = np.empty(big_k + 1) if track_err else None
-    residual_sq = np.empty(big_k + 1)
-    quants_hi = quants_lo = None
-    step = np.empty(n)
-    last = big_k
-
-    if config.method == "rk":
-        # The pick never reads the residual: draw every row now, step on
-        # r_i = b_i - a_i.x alone, and get residual norms (and errors) from
-        # the stored iterates, one GEMM per block.
-        chosen = _pick_rows(row_sq, unit_rows, uniforms)
-        block = min(RK_BLOCK, big_k + 1)
-        xs, axs = np.empty((block, n)), np.empty((block, m))
-        start = 0
-        for k in range(big_k + 1):
-            xs[k - start] = x
-            if k == big_k or k - start == block - 1:
-                ax = np.matmul(xs[: k - start + 1], a.T, out=axs[: k - start + 1])
-                np.subtract(b, ax, out=ax)
-                residual_sq[start : k + 1] = np.einsum("ij,ij->i", ax, ax)
-                if track_err:
-                    d = xs[: k - start + 1] - x_star
-                    errs = sq_errors[start : k + 1]
-                    errs[:] = np.einsum("ij,ij->i", d, d)
-                    hit = np.flatnonzero(errs < stop_below) if stop_below else ()
-                    if len(hit):
-                        last = start + int(hit[0])
-                        x = xs[hit[0]].copy()
-                        break
-                if k == big_k:
-                    break
-                start = k + 1
-            i = chosen[k]
-            row = a[i]
-            np.multiply(row, (b[i] - row @ x) / row_sq[i], out=step)
-            np.add(x, step, out=x)
-    else:
-        # Quantile methods rank the residual each step, in buffers made once.
-        chosen = np.empty(big_k, dtype=np.int64)
-        quants_hi = np.empty(big_k + 1)
-        quants_lo = np.empty(big_k + 1) if config.method == "dqrk" else None
-        r, keys, s, d = np.empty(m), np.empty(m), np.empty(m), np.empty(n)
-        hits = np.empty(m, dtype=bool)
-        np.subtract(b, np.matmul(a, x, out=r), out=r)
-        incremental = config.residual_mode == "incremental"
-        if incremental:
-            gram = a @ a.T
-            b_inf = float(np.max(np.abs(b)))
-            a_max = math.sqrt(float(row_sq.max()))
-            rho = a_max / math.sqrt(float(row_sq.min()))
-            xsq_peak = float(x @ x)
-        for k in range(big_k + 1):
-            if k and not incremental:
-                np.subtract(b, np.matmul(a, x, out=r), out=r)
-            residual_sq[k] = r @ r
-            if track_err:
+    runs = [_Run(c, a, b, x_star, row_sq, unit_rows, residual_norms) for c in configs]
+    if any(t.incremental for t in runs):
+        gram = a @ a.T
+        b_inf = float(np.max(np.abs(b)))
+        a_max = math.sqrt(float(row_sq.max()))
+        rho = a_max / math.sqrt(float(row_sq.min()))
+    # Full-mode runs first, so those that form b - A x each step are a prefix.
+    live = sorted(runs, key=lambda t: t.incremental)
+    k, step, d = 0, np.empty(n), np.empty(n)
+    while live:
+        if k == 0 or len(live) < len(xs):
+            xs = np.array([t.x for t in live])
+            rs = np.array([t.r for t in live]) if k else np.empty((len(live), m))
+            keys, srt, hits = np.empty_like(rs), np.empty_like(rs), np.empty(rs.shape, dtype=bool)
+            for t, x, r in zip(live, xs, rs):
+                t.x, t.r = x, r
+            full = sum(not t.incremental for t in live)
+        formed = len(live) if k == 0 else full
+        _residuals(a, b, xs[:formed], rs[:formed])
+        np.abs(rs, out=keys)
+        if unit_rows:
+            np.copyto(srt, keys)
+            srt.sort(axis=1)
+        else:
+            np.divide(keys, row_sq, out=keys)
+        for t, key, s, hit in zip(live, keys, srt, hits):
+            x, r = t.x, t.r
+            if residual_norms:
+                t.residual_sq[k] = r @ r
+            if x_star is not None:
                 np.subtract(x, x_star, out=d)
-                sq_errors[k] = d @ d
-            done = k == big_k or (stop_below is not None and sq_errors[k] < stop_below)
-            np.abs(r, out=keys)
-            if not unit_rows:
-                np.divide(keys, row_sq, out=keys)
+                t.sq_errors[k] = d @ d
+            done = k == t.iterations or bool(t.stop_below and t.sq_errors[k] < t.stop_below)
             # The final state records its quantiles; its pick goes unused.
-            i, quant_lo, quants_hi[k] = _select_in_band(
-                keys, k_lo, k_hi, row_sq, unit_rows, 0.0 if done else uniforms[k], s, hits
+            i, quant_lo, t.quants_hi[k] = _select_in_band(
+                key, t.k_lo, t.k_hi, row_sq, unit_rows, 0.0 if done else t.uniforms[k], s, hit
             )
-            if quants_lo is not None:
-                quants_lo[k] = quant_lo
+            if t.quants_lo is not None:
+                t.quants_lo[k] = quant_lo
             if done:
-                last = k
-                break
-            chosen[k] = i
+                t.last, t.x = k, x.copy()
+                continue
+            t.chosen[k] = i
             coeff = r[i] / row_sq[i]
             np.multiply(a[i], coeff, out=step)
             np.add(x, step, out=x)
-            if incremental:
-                np.multiply(gram[i], coeff, out=keys)  # keys is free until next step
-                np.subtract(r, keys, out=r)
-                xsq_peak = max(xsq_peak, float(x @ x))
+            if t.incremental:
+                np.multiply(gram[i], coeff, out=key)  # key is free until next step
+                np.subtract(r, key, out=r)
+                t.xsq_peak = max(t.xsq_peak, float(x @ x))
                 if (k + 1) % RESYNC_EVERY == 0:
                     exact = b - a @ x
                     drift = float(np.max(np.abs(r - exact)))
                     tol = _drift_tolerance(
-                        RESYNC_EVERY, n, rho, b_inf, a_max * math.sqrt(xsq_peak)
+                        RESYNC_EVERY, n, rho, b_inf, a_max * math.sqrt(t.xsq_peak)
                     )
                     if drift > tol:
                         msg = f"incremental residual drifted by {drift:.3e} (bound {tol:.3e})"
                         raise ResidualDriftError(msg)
                     r[:] = exact
-                    xsq_peak = float(x @ x)
-
-    states = slice(last + 1)
-    return RunTrace(
-        method=config.method,
-        residual_norms=np.sqrt(residual_sq[states]),
-        chosen_indices=chosen[:last],
-        admissible_sizes=np.full(last + 1, k_hi - k_lo, dtype=np.int64),
-        final_x=x,
-        sq_errors=None if sq_errors is None else sq_errors[states],
-        quantiles_q0=None if quants_lo is None else quants_lo[states],
-        quantiles_q=None if quants_hi is None else quants_hi[states],
-    )
+                    t.xsq_peak = float(x @ x)
+        live = [t for t in live if t.last > k]
+        k += 1
+    return [t.trace() for t in runs]
 
 
 def quantile_bounds(
@@ -463,25 +522,3 @@ def horizon_estimate(trace: RunTrace, window: int = DEFAULT_HORIZON_WINDOW) -> f
             f"window {window} exceeds trace length {len(trace.sq_errors)}"
         )
     return float(np.max(trace.sq_errors[-window:]))
-
-
-def quantile_diagnostic(
-    x_k: np.ndarray,
-    problem: CorruptedProblem,
-    q: Fraction | float,
-) -> tuple[float, float, float]:
-    """Observed residual quantile and its two theoretical ceilings.
-
-    Returns (Q_observed, Q_bound_sparse, Q_bound_noisy).  The sparse
-    ceiling applies when the noise component is zero; the noisy ceiling
-    adds the noise allowance and applies in general.  Requires
-    q < 1 - beta for the realized corruption level beta.
-    """
-    d = x_k - problem.x_star
-    bound_sparse, bound_noisy = quantile_bounds(problem, q, d @ d)
-    keys = np.abs(problem.b - problem.system.data @ x_k)
-    if not problem.system.row_normalized:
-        keys = keys / _row_sq_norms(problem.system.data, False)
-    k = int(feasible_level(q, problem.m, lowest=1) * problem.m)
-    q_obs = float(np.partition(keys, k - 1)[k - 1])
-    return q_obs, float(bound_sparse), float(bound_noisy)

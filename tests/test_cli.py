@@ -494,6 +494,27 @@ class TestVersion:
         assert digest == build_hash()
 
 
+def test_experiment_bytes_follow_neither_blas_nor_pool_threads(tmp_path):
+    # The quantile runs share one product per step; whether OpenBLAS splits
+    # it over one or two threads, and whatever --threads shares out, the
+    # desk fig2 result is the same bytes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for blas in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": blas,
+               "OPENBLAS_NUM_THREADS": blas, "MKL_NUM_THREADS": blas}
+        for threads in ("1", "3"):
+            out = tmp_path / f"blas{blas}-threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "kqrk.cli", "experiment", "fig2", "--desk",
+                 "--iters", "300", "--threads", threads, "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            outs.append((out / "result.json").read_bytes())
+    assert outs[1:] == outs[:1] * 3
+
+
 def test_import_skips_scipy():
     # scipy.stats costs about a second at start-up and only fig3_trend needs
     # it; the thread pool's module costs memory and only threads > 1 needs it.

@@ -29,7 +29,7 @@ import pytest
 from kqrk.experiments import _child_seed, _gen_spec, _solver_config, desk_profile
 from kqrk.linalg import DenseMatrix
 from kqrk.problems import GenSpec, generate
-from kqrk.solvers import SolverConfig, run
+from kqrk.solvers import SolverConfig, run, run_batch
 
 GOLDEN = Path(__file__).with_name("golden_picks.json")
 REL_TOL = 1e-12
@@ -107,10 +107,7 @@ def _golden() -> dict:
 CASES = list(_cases())
 
 
-@pytest.mark.parametrize("name,problem,config", CASES, ids=[c[0] for c in CASES])
-def test_golden_picks(name, problem, config):
-    want = _golden()[name]
-    got = _record(run(problem, config))
+def _check(got, want):
     assert got["steps"] == want["steps"]
     assert got["picks_sha256"] == want["picks_sha256"]
     assert got["at"] == want["at"]
@@ -121,6 +118,22 @@ def test_golden_picks(name, problem, config):
     np.testing.assert_allclose(got["final_x_sq"], want["final_x_sq"], rtol=REL_TOL, atol=0)
 
 
+@pytest.mark.parametrize("name,problem,config", CASES, ids=[c[0] for c in CASES])
+def test_golden_picks(name, problem, config):
+    _check(_record(run(problem, config, residual_norms=True)), _golden()[name])
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "uniform"])
+def test_golden_picks_batched(ensemble):
+    # The experiments run qrk and dqrk on one problem as one batch, whose
+    # shared residual product rounds unlike a gemv: the same rows, floats
+    # to REL_TOL.
+    cases = [c for c in CASES if c[0].startswith(f"desk-fig2/{ensemble}/") and c[2].method != "rk"]
+    traces = run_batch(cases[0][1], [c[2] for c in cases], residual_norms=True)
+    for (name, _, _), trace in zip(cases, traces):
+        _check(_record(trace), _golden()[name])
+
+
 def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(name for name, _, _ in CASES)
 
@@ -128,6 +141,9 @@ def test_golden_file_covers_every_case():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden_picks.py --write")
-    doc = {name: _record(run(problem, config)) for name, problem, config in CASES}
+    doc = {
+        name: _record(run(problem, config, residual_norms=True))
+        for name, problem, config in CASES
+    }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(doc)} cases to {GOLDEN}")

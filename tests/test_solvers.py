@@ -1,4 +1,5 @@
 """Solver behavior: projections, band selection, traces, stopping."""
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from kqrk.solvers import (
     _select_in_band,
     horizon_estimate,
     quantile_bounds,
-    quantile_diagnostic,
     run,
+    run_batch,
 )
 from kqrk import solvers
 
@@ -183,7 +184,7 @@ class TestRunTrace:
         """Every recorded step must be explainable from the trace itself."""
         prob = _problem(m=30, n=3, seed=11)
         cfg = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=60, seed=3, x0="zero")
-        trace = run(prob, cfg)
+        trace = run(prob, cfg, residual_norms=True)
         a = prob.system.data
         k_hi = 24
         x = np.zeros(prob.n)
@@ -263,7 +264,8 @@ class TestRunTrace:
 
     def test_array_lengths(self):
         prob = _problem()
-        trace = run(prob, SolverConfig(method="qrk", q=Fraction(4, 5), iterations=17))
+        cfg = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=17)
+        trace = run(prob, cfg, residual_norms=True)
         assert trace.iterations == 17
         assert len(trace.residual_norms) == 18
         assert len(trace.sq_errors) == 18
@@ -271,6 +273,23 @@ class TestRunTrace:
         assert len(trace.admissible_sizes) == 18
         assert trace.quantiles_q0 is None
         assert trace.final_x.shape == (prob.n,)
+
+    @pytest.mark.parametrize("method", ["rk", "qrk"])
+    def test_residual_norms_on_request(self, method):
+        # Residual norms cost rk a b - A X product per block of iterates,
+        # so a run records them only when asked; nothing else moves.
+        prob = _problem()
+        levels = {"q": Fraction(4, 5)} if method == "qrk" else {}
+        cfg = SolverConfig(method=method, iterations=100, seed=2, **levels)
+        bare, full = run(prob, cfg), run(prob, cfg, residual_norms=True)
+        assert bare.residual_norms is None
+        np.testing.assert_array_equal(bare.chosen_indices, full.chosen_indices)
+        np.testing.assert_array_equal(bare.sq_errors, full.sq_errors)
+        a, x = prob.system.data, np.zeros(prob.n)
+        for k, i in enumerate(full.chosen_indices):
+            r = prob.b - a @ x
+            assert full.residual_norms[k] == pytest.approx(np.sqrt(r @ r), rel=1e-12)
+            x = x + r[i] * a[i]
 
     def test_deterministic(self):
         prob = _problem()
@@ -302,7 +321,7 @@ class TestRunTrace:
             method="qrk", q=Fraction(4, 5), iterations=300, seed=9,
             residual_mode="incremental",
         )
-        t_full, t_inc = run(prob, cfg_full), run(prob, cfg_inc)
+        t_full, t_inc = (run(prob, c, residual_norms=True) for c in (cfg_full, cfg_inc))
         np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
         np.testing.assert_allclose(
             t_full.residual_norms, t_inc.residual_norms, rtol=1e-9
@@ -322,7 +341,7 @@ class TestRunTrace:
         inc = SolverConfig(
             method=method, iterations=3000, seed=3, residual_mode="incremental", **levels
         )
-        t_full, t_inc = run(prob, full), run(prob, inc)
+        t_full, t_inc = (run(prob, c, residual_norms=True) for c in (full, inc))
         np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
         np.testing.assert_allclose(t_full.residual_norms, t_inc.residual_norms, rtol=1e-12)
 
@@ -350,9 +369,9 @@ class TestRunTrace:
         monkeypatch.setattr(solvers, "_drift_tolerance", spy)
         prob = _problem(m=50, n=5, seed=21)
         levels = dict(method="qrk", q=Fraction(4, 5), iterations=300, seed=9)
-        t_inc = run(prob, SolverConfig(residual_mode="incremental", **levels))
+        t_inc = run(prob, SolverConfig(residual_mode="incremental", **levels), residual_norms=True)
         assert windows == [10] * 30
-        t_full = run(prob, SolverConfig(**levels))
+        t_full = run(prob, SolverConfig(**levels), residual_norms=True)
         np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
         np.testing.assert_allclose(t_full.residual_norms, t_inc.residual_norms, rtol=1e-12)
 
@@ -412,7 +431,7 @@ class TestEarlyStop:
     def test_truncates_arrays(self):
         prob = _problem(beta=Fraction(0), scale=0.0, noise_stddev=0.0, m=80, n=6)
         cfg = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=20_000, stop_below=1e-20)
-        trace = run(prob, cfg)
+        trace = run(prob, cfg, residual_norms=True)
         taken = trace.iterations
         assert taken < 20_000
         assert trace.sq_errors[-1] < 1e-20
@@ -432,6 +451,112 @@ class TestEarlyStop:
         cfg = SolverConfig(method="rk", iterations=15, stop_below=1e-30)
         trace = run(prob, cfg)
         assert trace.iterations == 15
+
+
+_TRACE_FLOATS = ("sq_errors", "residual_norms", "quantiles_q0", "quantiles_q", "final_x")
+
+
+def _assert_batch_matches_solo(problem, configs, rtol):
+    """Each batched trace has its solo run's picks and stop step; floats
+    agree to ``rtol`` (bitwise when it is 0)."""
+    batch = run_batch(problem, configs, residual_norms=True)
+    assert len(batch) == len(configs)
+    for cfg, got in zip(configs, batch):
+        want = run(problem, cfg, residual_norms=True)
+        assert got.method == cfg.method
+        np.testing.assert_array_equal(got.chosen_indices, want.chosen_indices)
+        np.testing.assert_array_equal(got.admissible_sizes, want.admissible_sizes)
+        for name in _TRACE_FLOATS:
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None), name
+            if w is not None and rtol:
+                np.testing.assert_allclose(g, w, rtol=rtol, atol=0, err_msg=name)
+            elif w is not None:
+                np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+@st.composite
+def _batches(draw):
+    """A small system, unit or not, and 2-4 qrk/dqrk configs that differ in
+    seed, iterations, start, stop_below and residual mode."""
+    m, n = draw(st.sampled_from([20, 40])), draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 999))
+    unit = draw(st.booleans())
+    if unit:
+        noise = draw(st.sampled_from([0.01, 1.0]))
+        problem = _problem(
+            m=m, n=n, beta=Fraction(1, 10), scale=20.0, seed=seed, noise_stddev=noise
+        )
+    else:
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0, (m, 1))
+        problem = (DenseMatrix(a), rng.standard_normal(m))
+    configs = []
+    for _ in range(draw(st.integers(2, 4))):
+        method = draw(st.sampled_from(["qrk", "dqrk"]))
+        x0 = draw(st.sampled_from(["default", "zero", "project_first", "vector"]))
+        configs.append(SolverConfig(
+            method=method,
+            q=Fraction(4, 5),
+            q0=Fraction(3, 5) if method == "dqrk" else None,
+            iterations=draw(st.integers(1, 120)),
+            seed=draw(st.integers(0, 999)),
+            x0=np.full(n, draw(st.sampled_from([-1.0, 0.5]))) if x0 == "vector" else x0,
+            residual_mode=draw(st.sampled_from(["full", "incremental"])),
+            stop_below=draw(st.sampled_from([None, 0.5, 0.05])) if unit else None,
+        ))
+    return problem, configs
+
+
+class TestBatch:
+    @given(_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_solo(self, case):
+        problem, configs = case
+        _assert_batch_matches_solo(problem, configs, rtol=1e-12)
+
+    def test_without_the_shared_product_batch_is_solo(self, monkeypatch):
+        # With the product rule off every residual takes the gemv a solo
+        # run takes, so the batch is bit-identical to the solo runs.
+        monkeypatch.setattr(solvers, "SHARED_PRODUCT_BYTES", 0)
+        prob = _problem(m=40, n=4, noise_stddev=0.01, seed=3)
+        levels = dict(q=Fraction(4, 5), q0=Fraction(3, 5))
+        configs = [
+            SolverConfig(method="qrk", q=levels["q"], iterations=90, seed=1),
+            SolverConfig(method="dqrk", iterations=150, seed=2, **levels),
+            SolverConfig(method="dqrk", iterations=60, seed=3, x0="zero", stop_below=0.05, **levels),
+            SolverConfig(method="qrk", q=levels["q"], iterations=120, seed=4,
+                         residual_mode="incremental"),
+        ]
+        _assert_batch_matches_solo(prob, configs, rtol=0)
+
+    def test_shared_product_rule(self, monkeypatch):
+        # One product per step for two or more full-mode runs while A is at
+        # most SHARED_PRODUCT_BYTES; one gemv per run otherwise.
+        prob = _problem(m=40, n=4)
+        cfgs = [SolverConfig(method="qrk", q=Fraction(4, 5), iterations=10, seed=s) for s in (1, 2)]
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, x, **kw):
+            calls.append(np.ndim(x))
+            return matmul(a, x, **kw)
+
+        monkeypatch.setattr(solvers.np, "matmul", spy)
+        run_batch(prob, cfgs)
+        assert calls == [2] * 11
+        calls.clear()
+        # Incremental runs form b - A x once, then update it by Gram rows.
+        run_batch(prob, [replace(c, residual_mode="incremental") for c in cfgs])
+        assert calls == [2]
+        calls.clear()
+        monkeypatch.setattr(solvers, "SHARED_PRODUCT_BYTES", prob.system.data.nbytes - 1)
+        run_batch(prob, cfgs)
+        assert calls == [1] * 22
+
+    def test_rejects_rk(self):
+        with pytest.raises(InvalidSpecError):
+            run_batch(_problem(), [SolverConfig(method="rk", iterations=5)])
 
 
 class TestConfigValidation:
@@ -521,21 +646,19 @@ class TestDiagnostics:
         assert len(sparse) == len(noisy) == 31
         assert np.all(noisy >= sparse)
 
-    def test_one_ceiling_two_entry_points(self):
-        # quantile_bounds over a trace and quantile_diagnostic on one of
-        # its iterates evaluate the same ceilings.  A run cut to k steps
-        # ends on state k of the longer run with the same seed.
+    def test_trace_quantiles_match_partition(self):
+        # The recorded Q at state k is the (q m = 48)-th smallest
+        # |b - A x_k|, read by np.partition.  A run cut to k steps ends on state k of
+        # the longer run with the same seed.
         prob = _problem(m=60, n=4, beta=Fraction(1, 20), scale=50.0, seed=8)
         q = Fraction(4, 5)
         trace = run(prob, SolverConfig(method="qrk", q=q, iterations=40, seed=3))
-        sparse, noisy = quantile_bounds(prob, q, trace.sq_errors)
         for k in (1, 5, 17, 40):
             x_k = run(prob, SolverConfig(method="qrk", q=q, iterations=k, seed=3)).final_x
             d = x_k - prob.x_star
             assert float(d @ d) == trace.sq_errors[k]
-            q_obs, d_sparse, d_noisy = quantile_diagnostic(x_k, prob, q)
-            assert d_sparse == pytest.approx(sparse[k], rel=1e-14, abs=0.0)
-            assert d_noisy == pytest.approx(noisy[k], rel=1e-14, abs=0.0)
+            keys = np.abs(prob.b - prob.system.data @ x_k)
+            q_obs = np.partition(keys, 47)[47]
             assert q_obs == pytest.approx(trace.quantiles_q[k], rel=1e-12, abs=0.0)
 
     def test_regime_guard(self):
@@ -544,16 +667,11 @@ class TestDiagnostics:
         trace = run(prob, SolverConfig(method="qrk", q=Fraction(4, 5), iterations=5))
         with pytest.raises(InvalidRegimeError):
             quantile_bounds(prob, Fraction(4, 5), trace.sq_errors)
-        with pytest.raises(InvalidRegimeError):
-            quantile_diagnostic(trace.final_x, prob, Fraction(4, 5))
 
-    def test_quantile_diagnostic_matches_trace(self):
+    def test_quantile_bounds_formula(self):
         prob = _problem(m=60, n=4, beta=Fraction(1, 20), scale=50.0)
-        q_obs, b_sparse, b_noisy = quantile_diagnostic(
-            np.zeros(prob.n), prob, Fraction(4, 5)
-        )
-        keys = np.abs(prob.b)
-        assert q_obs == sort_quantile(keys, 48)
+        # At x = 0 the squared error is |x*|^2.
+        b_sparse, b_noisy = quantile_bounds(prob, Fraction(4, 5), prob.x_star @ prob.x_star)
         assert b_noisy >= b_sparse > 0
         # sigma_max |x - x*| / sqrt(m (1 - q - beta)), plus
         # sqrt(1 - q) |eta|_inf / sqrt(1 - q - beta) for the noisy ceiling.
