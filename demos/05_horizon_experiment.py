@@ -30,7 +30,7 @@ spec = ExperimentSpec(
     noise_stddev=1.0,
     seed=2,
 )
-result = run_experiment(spec, threads=2)
+result = run_experiment(spec)
 print(f"{len(result.points)} points "
       f"({len(spec.scales)} scales x {spec.trials} trials x {len(spec.methods)} methods), "
       f"wall clock {result.wall_clock:.1f}s\n")

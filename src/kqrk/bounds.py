@@ -46,7 +46,6 @@ from .linalg import (
     sigma_q_min_exact,
     sigma_q_min_sampled,
     singular_extremes,
-    SUBSET_ENUMERATION_CAP,
 )
 from .problems import ordered_magnitude
 from .solvers import InvalidRegimeError
@@ -70,7 +69,6 @@ __all__ = [
     "qrk_general_horizon",
     "eh_comparison_condition",
     "timevar_constants",
-    "timevar_side_conditions",
     "qrask_coefficient_comparison",
     "dqrk_rate_original",
     "dqrk_rate_alternative",
@@ -181,7 +179,6 @@ def spectral_summary(
     sigma_mode: str = "exact",
     samples: int | None = None,
     seed: int = 0,
-    cap: int = SUBSET_ENUMERATION_CAP,
 ) -> SpectralSummary:
     """Compute the singular data a report needs for the given params."""
     lvl_q = params.q - params.beta
@@ -191,11 +188,9 @@ def spectral_summary(
     smax, smin = singular_extremes(a)
     kwargs: dict = {}
     if sigma_mode == "exact":
-        sq = sigma_q_min_exact(a, lvl_q, cap=cap)
+        sq = sigma_q_min_exact(a, lvl_q)
         if params.q0 is not None:
-            kwargs["sigma_q0_beta_min"] = sigma_q_min_exact(
-                a, params.q0 - params.beta, cap=cap
-            )
+            kwargs["sigma_q0_beta_min"] = sigma_q_min_exact(a, params.q0 - params.beta)
     elif sigma_mode == "sampled":
         if samples is None or samples < 1:
             raise ValueError("sampled mode requires a positive sample count")
@@ -572,30 +567,6 @@ def timevar_constants(summary: SpectralSummary, params: RobustParams) -> BoundRe
         condition_satisfied=None,
         condition_mode=None,
     )
-
-
-def timevar_side_conditions(
-    summary: SpectralSummary, params: RobustParams
-) -> tuple[bool, bool]:
-    """The two sufficient conditions under which phi < C (horizon form).
-
-    First: m small against 1/(4 sqrt(beta) sqrt(1-q-beta))
-    + sqrt(1-beta)/(4 sqrt(1-q-beta)^3).  Second: r < 1 together with
-    sigma_max^2 above (beta m / 2)(1-q-beta)/(sqrt(beta(1-q-beta)) - beta).
-    """
-    if params.beta == 0:
-        raise InvalidRegimeError("time-varying conditions need beta > 0")
-    b = float(params.beta)
-    slack = float(1 - params.q - params.beta)
-    first = summary.m < (
-        1.0 / (4.0 * math.sqrt(b) * math.sqrt(slack))
-        + math.sqrt(float(1 - params.beta)) / (4.0 * math.sqrt(slack) ** 3)
-    )
-    if params.r >= 1:
-        return first, False
-    denom = math.sqrt(b) * math.sqrt(slack) - b
-    second = summary.sigma_max**2 > (b * summary.m / 2.0) * slack / denom
-    return first, second
 
 
 def qrask_coefficient_comparison(

@@ -455,7 +455,6 @@ _EXPERIMENT_OPTS = [
     Opt("noise", _conv_float, help="noise stddev"),
     Opt("window", _conv_int, help="horizon window"),
     Opt("seed", _conv_int, default=0),
-    Opt("threads", _conv_int, default=1),
     Opt("out", _conv_str, required=True, help="output directory"),
 ]
 
@@ -497,14 +496,12 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
         if key in overrides:
             overrides[key] = _snap(key, overrides[key], m, snaps)
     spec = factory(figure, seed=opt["seed"], **overrides)
-    if opt["threads"] < 1:
-        raise UsageError("--threads must be >= 1")
     print(
         f"running {figure} ({profile}, m={spec.m}, n={spec.n}, "
         f"iterations={spec.iterations})",
         file=sys.stderr,
     )
-    result = run_experiment(spec, threads=opt["threads"])
+    result = run_experiment(spec)
     out = Path(opt["out"])
     written = emit(result, out)
     doc = _manifest(

@@ -7,10 +7,12 @@ error vector to the empirical error horizon.
 
 Fairness and determinism: within one trial every method sees the
 identical problem, all randomness derives from the experiment seed, and
-results are sorted canonically before emission, so a rerun (at any
-thread count) reproduces every output file byte for byte.  fig1 is the
-corruption-free special case of fig2; running fig2 with corruption scale
-zero and the same seed yields bit-identical data and plot files.
+results are sorted canonically before emission, so a rerun reproduces
+every output file byte for byte, whatever the BLAS thread count.  Jobs
+run one at a time in the calling thread; any parallelism is the BLAS
+pool's.  fig1 is the corruption-free special case of fig2; running fig2
+with corruption scale zero and the same seed yields bit-identical data
+and plot files.
 """
 from __future__ import annotations
 
@@ -283,15 +285,6 @@ def _gen_spec(spec: ExperimentSpec, ensemble: str, scale: float, seed: int) -> G
     )
 
 
-def _pool_map(fn, jobs, threads: int):
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs it
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _identifiability_ratio(problem: CorruptedProblem, q: Fraction) -> float:
     """Largest error magnitude over the ((1-q)m + 1)-th largest."""
     eps = problem.eta + problem.xi
@@ -303,7 +296,7 @@ def _identifiability_ratio(problem: CorruptedProblem, q: Fraction) -> float:
     return top / denom
 
 
-def _run_curves(spec: ExperimentSpec, scale: float, threads: int) -> ExperimentResult:
+def _run_curves(spec: ExperimentSpec, scale: float) -> ExperimentResult:
     t0 = time.perf_counter()
     curves: dict = {ens: {} for ens in spec.ensembles}
     horizons: dict = {ens: {} for ens in spec.ensembles}
@@ -311,22 +304,15 @@ def _run_curves(spec: ExperimentSpec, scale: float, threads: int) -> ExperimentR
     # method on it, and drop it before the next.
     for ei, ens in enumerate(spec.ensembles):
         problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, ei, 0, 0)))
-
         cfgs = [
             _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, 0, 0, mi))
             for mi, meth in enumerate(spec.methods)
         ]
-        # rk runs alone and the quantile methods as one batch, a grouping
-        # that does not follow ``threads``.
-        rk = [c for c in cfgs if c.method == "rk"]
-        groups = [g for g in (rk, [c for c in cfgs if c.method != "rk"]) if g]
-
-        def one(group):
-            if group[0].method == "rk":
-                return [run(problem, group[0])]
-            return run_batch(problem, group)
-
-        traces = {t.method: t for ts in _pool_map(one, groups, threads) for t in ts}
+        # rk runs alone and the quantile methods as one batch.
+        traces = {c.method: run(problem, c) for c in cfgs if c.method == "rk"}
+        quantile = [c for c in cfgs if c.method != "rk"]
+        if quantile:
+            traces.update({t.method: t for t in run_batch(problem, quantile)})
         for meth in spec.methods:
             curves[ens][meth] = traces[meth].sq_errors
             horizons[ens][meth] = horizon_estimate(traces[meth], spec.horizon_window)
@@ -339,47 +325,39 @@ def _run_curves(spec: ExperimentSpec, scale: float, threads: int) -> ExperimentR
     )
 
 
-def _run_points(spec: ExperimentSpec, threads: int) -> ExperimentResult:
+def _run_points(spec: ExperimentSpec) -> ExperimentResult:
     t0 = time.perf_counter()
     ens = spec.ensembles[0]
-    jobs = [
-        (si, scale, trial)
-        for si, scale in enumerate(spec.scales)
-        for trial in range(spec.trials)
-    ]
-
-    def one(job) -> list[Fig3Point]:
-        si, scale, trial = job
-        problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, 0, si, trial)))
-        ratio = _identifiability_ratio(problem, spec.q)
-        pts = []
-        for mi, meth in enumerate(spec.methods):
-            cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, 0, si, trial, mi))
-            trace = run(problem, cfg)
-            h = horizon_estimate(trace, spec.horizon_window)
-            pts.append(Fig3Point(scale=scale, trial=trial, method=meth, ratio=ratio, horizon=h))
-        return pts
-
-    points = [p for batch in _pool_map(one, jobs, threads) for p in batch]
+    points = []
+    # One (scale, trial) problem is alive at a time.
+    for si, scale in enumerate(spec.scales):
+        for trial in range(spec.trials):
+            problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, 0, si, trial)))
+            ratio = _identifiability_ratio(problem, spec.q)
+            for mi, meth in enumerate(spec.methods):
+                cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, 0, si, trial, mi))
+                h = horizon_estimate(run(problem, cfg), spec.horizon_window)
+                points.append(Fig3Point(scale=scale, trial=trial, method=meth, ratio=ratio, horizon=h))
+            del problem
     points.sort(key=lambda p: (p.scale, p.trial, METHOD_ORDER.index(p.method)))
     return ExperimentResult(
         spec=spec, points=tuple(points), wall_clock=time.perf_counter() - t0
     )
 
 
-def run_experiment(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
-    """Run the figure ``spec`` names.
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run the figure ``spec`` names, one job at a time.
 
     fig1 (noise only) and fig2 (sparse corruption of magnitude
     corruption_scale) give one curve per (ensemble, method): each
-    ensemble's problem is generated and dropped in turn, its rk run and
-    its one qrk/dqrk batch shared over ``threads``.  fig3 gives one point per (scale, trial,
-    method), its (scale, trial) cells shared over ``threads``.
+    ensemble's problem is generated and dropped in turn, after its rk run
+    and its one qrk/dqrk batch.  fig3 gives one point per (scale, trial,
+    method), one (scale, trial) problem at a time.
     """
     if spec.figure == "fig3":
-        return _run_points(spec, threads)
+        return _run_points(spec)
     scale = spec.corruption_scale if spec.figure == "fig2" else 0.0
-    return _run_curves(spec, scale, threads)
+    return _run_curves(spec, scale)
 
 
 def fig3_trend(result: ExperimentResult) -> dict:
@@ -548,12 +526,8 @@ def _scatter_svg(result: ExperimentResult) -> str:
     )
 
 
-def emit(
-    result: ExperimentResult,
-    out_dir,
-    formats: tuple[str, ...] = ("csv", "svg", "json"),
-) -> list[Path]:
-    """Write the result files; CSV is the source of truth.
+def emit(result: ExperimentResult, out_dir) -> list[Path]:
+    """Write the result's CSV, SVG and JSON files; CSV is the source of truth.
 
     Curve results produce one CSV per ensemble plus a combined one;
     scatter results a single CSV.  result.json embeds everything needed
@@ -561,37 +535,28 @@ def emit(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for fmt in formats:
-        if fmt not in ("csv", "svg", "json"):
-            raise InvalidSpecError(f"unknown format {fmt!r}")
+    if result.curves is not None:
+        written = _write_curve_csvs(out, result)
+    else:
+        path = out / "data.csv"
+        _write_csv(
+            path,
+            ["scale", "trial", "method", "ratio", "horizon"],
+            (
+                [fmt_float(p.scale), str(p.trial), p.method, fmt_float(p.ratio), fmt_float(p.horizon)]
+                for p in result.points
+            ),
+        )
+        written = [path]
 
-    if "csv" in formats:
-        if result.curves is not None:
-            written += _write_curve_csvs(out, result)
-        else:
-            path = out / "data.csv"
-            _write_csv(
-                path,
-                ["scale", "trial", "method", "ratio", "horizon"],
-                (
-                    [fmt_float(p.scale), str(p.trial), p.method, fmt_float(p.ratio), fmt_float(p.horizon)]
-                    for p in result.points
-                ),
-            )
-            written.append(path)
+    svg = _curves_svg(result) if result.curves is not None else _scatter_svg(result)
+    path = out / "plot.svg"
+    svgplot.write_svg(path, svg)
+    written.append(path)
 
-    if "svg" in formats:
-        svg = _curves_svg(result) if result.curves is not None else _scatter_svg(result)
-        path = out / "plot.svg"
-        svgplot.write_svg(path, svg)
-        written.append(path)
-
-    if "json" in formats:
-        path = out / "result.json"
-        _write_result_json(path, result)
-        written.append(path)
-
+    path = out / "result.json"
+    _write_result_json(path, result)
+    written.append(path)
     return written
 
 

@@ -761,24 +761,19 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     return best
 
 
-def sigma_q_min_exact(
-    a: DenseMatrix,
-    q: float | Fraction,
-    *,
-    cap: int = SUBSET_ENUMERATION_CAP,
-) -> SigmaQMinResult:
+def sigma_q_min_exact(a: DenseMatrix, q: float | Fraction) -> SigmaQMinResult:
     """Exact min over all size-(q*m) row subsets of the subset sigma_min.
 
-    Raises :class:`TooManySubsetsError` when C(m, q*m) exceeds ``cap`` and
-    no analytic shortcut applies.
+    Raises :class:`TooManySubsetsError` when C(m, q*m) exceeds
+    SUBSET_ENUMERATION_CAP and no analytic shortcut applies.
     """
     k, shortcut = _subset_size(a, q)
     if shortcut is not None:
         return shortcut
     total = math.comb(a.m, k)
-    if total > cap:
+    if total > SUBSET_ENUMERATION_CAP:
         raise TooManySubsetsError(
-            f"C({a.m}, {k}) = {total} subsets exceeds the cap of {cap}"
+            f"C({a.m}, {k}) = {total} subsets exceeds the cap of {SUBSET_ENUMERATION_CAP}"
         )
     return SigmaQMinResult(_min_over_subsets(a, k), "exact", total, False)
 

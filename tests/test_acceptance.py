@@ -128,7 +128,7 @@ def test_c03_corrupted_horizon_separation():
     ratios = []
     for seed in range(10):
         spec = desk_profile("fig2", seed=seed, ensembles=("gaussian",))
-        h = run_experiment(spec, threads=3).horizons["gaussian"]
+        h = run_experiment(spec).horizons["gaussian"]
         ratios.append(h["rk"] / max(h["qrk"], h["dqrk"]))
         if h["qrk"] <= h["rk"] / 100 and h["dqrk"] <= h["rk"] / 100:
             wins += 1
@@ -148,7 +148,7 @@ def test_c04_noise_only_horizon_parity():
     spreads = []
     for seed in range(10):
         spec = desk_profile("fig1", seed=seed, ensembles=("gaussian",))
-        h = run_experiment(spec, threads=3).horizons["gaussian"]
+        h = run_experiment(spec).horizons["gaussian"]
         vals = [h["rk"], h["qrk"], h["dqrk"]]
         spread = max(vals) / min(vals)
         spreads.append(spread)
@@ -167,7 +167,7 @@ def test_c05_scale_sweep_trend():
     """rk's plateau tracks corruption magnitude; dqrk's stays flat."""
     t0 = time.perf_counter()
     spec = desk_profile("fig3")  # scales (1, 3, 10, 30, 100), 15 trials
-    trend = fig3_trend(run_experiment(spec, threads=4))
+    trend = fig3_trend(run_experiment(spec))
     rho = trend["spearman_scale_rk_horizon"]
     flat = trend["dqrk_horizon_max_min_ratio"]
     assert rho >= 0.9, trend

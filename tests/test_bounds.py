@@ -27,7 +27,6 @@ from kqrk.bounds import (
     robust_params,
     spectral_summary,
     timevar_constants,
-    timevar_side_conditions,
 )
 from kqrk.linalg import DenseMatrix, SigmaQMinResult
 from kqrk.solvers import InvalidRegimeError
@@ -482,8 +481,6 @@ class TestZeroCorruptionLimit:
         with pytest.raises(InvalidRegimeError):
             timevar_constants(s, params)
         with pytest.raises(InvalidRegimeError):
-            timevar_side_conditions(s, params)
-        with pytest.raises(InvalidRegimeError):
             qrask_coefficient_comparison(s, params)
 
 
@@ -525,11 +522,16 @@ class TestTimevarComparison:
     PARAMS = robust_params(Fraction(1, 128), Fraction(125, 128))
 
     def test_side_conditions_hold_on_crafted_instance(self):
+        # The two sufficient conditions for phi < C: m below
+        # 1/(4 sqrt(beta) sqrt(s)) + sqrt(1-beta)/(4 sqrt(s)^3), and, with
+        # r < 1, sigma_max^2 above (beta m / 2) s / (sqrt(beta s) - beta),
+        # where s = 1 - q - beta.
+        m, b, q = 128, 1 / 128, 125 / 128
+        s = 1 - q - b
         assert self.PARAMS.r == Fraction(1, 2)
+        assert m < 1 / (4 * math.sqrt(b) * math.sqrt(s)) + math.sqrt(1 - b) / (4 * math.sqrt(s) ** 3)
         for smax_sq in (4.0, 64.0, 640.0):
-            s = _summary(128, 2, smax_sq, 0.5)
-            first, second = timevar_side_conditions(s, self.PARAMS)
-            assert first is True and second is True
+            assert smax_sq > (b * m / 2) * s / (math.sqrt(b) * math.sqrt(s) - b)
 
     def test_phi_below_horizon_c(self):
         for smax_sq in (4.0, 64.0, 640.0):
@@ -547,17 +549,6 @@ class TestTimevarComparison:
             margins.append(c - phi)
         assert max(margins) - min(margins) < 1e-12 * max(map(abs, margins))
 
-    def test_side_conditions_fail_for_large_m(self):
-        s = _summary(10000, 2, 4.0, 0.5)
-        first, second = timevar_side_conditions(s, self.PARAMS)
-        assert first is False and second is False
-
-    def test_second_condition_needs_r_below_one(self):
-        # beta = 1/8, q = 3/4 gives r = 1 exactly.
-        params = robust_params(Fraction(1, 8), Fraction(3, 4))
-        s = _summary(8, 2, 100.0, 0.5)
-        _, second = timevar_side_conditions(s, params)
-        assert second is False
 
 
 class TestGeneralHorizon:

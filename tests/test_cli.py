@@ -375,24 +375,6 @@ class TestExperiment:
         for name in ("data.csv", "data_gaussian.csv", "plot.svg", "result.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_threads_byte_identical(self, tmp_path):
-        outs = []
-        for name, threads in (("a", "1"), ("b", "3")):
-            out = tmp_path / name
-            rc = main(
-                [
-                    "experiment", "fig3",
-                    *self.ARGS,
-                    "--trials", "2",
-                    "--scales", "1,10",
-                    "--threads", threads,
-                    "--out", str(out),
-                ]
-            )
-            assert rc == 0
-            outs.append(out)
-        assert (outs[0] / "data.csv").read_bytes() == (outs[1] / "data.csv").read_bytes()
-
     def test_snap_against_overridden_m(self, tmp_path, capsys):
         out = tmp_path / "exp"
         rc = main(
@@ -415,6 +397,19 @@ class TestExperiment:
             ["experiment", "fig1", "--desk", "--paper", "--out", str(tmp_path / "x")]
         )
         assert rc == 2
+
+    def test_threads_is_not_an_option(self, tmp_path, capsys):
+        # Experiments run one job at a time; neither the flag nor a config
+        # key selects a thread count.
+        out = str(tmp_path / "x")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig2", "--threads", "2", "--out", out])
+        assert exc.value.code == 2
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("threads = 2\n")
+        assert main(["experiment", "fig2", "--config", str(cfg), "--out", out]) == 2
+        assert "unknown config keys: ['threads']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_manifest_parameters_cover_spec(self, tmp_path):
         out = tmp_path / "exp"
@@ -494,41 +489,38 @@ class TestVersion:
         assert digest == build_hash()
 
 
-def test_experiment_bytes_follow_neither_blas_nor_pool_threads(tmp_path):
+def test_experiment_bytes_follow_no_blas_threads(tmp_path):
     # The quantile runs share one product per step; whether OpenBLAS splits
-    # it over one or two threads, and whatever --threads shares out, the
-    # desk fig2 result is the same bytes.
+    # it over one or two threads, the desk fig2 result is the same bytes.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
     for blas in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": blas,
                "OPENBLAS_NUM_THREADS": blas, "MKL_NUM_THREADS": blas}
-        for threads in ("1", "3"):
-            out = tmp_path / f"blas{blas}-threads{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "kqrk.cli", "experiment", "fig2", "--desk",
-                 "--iters", "300", "--threads", threads, "--out", str(out)],
-                env=env, capture_output=True, check=True,
-            )
-            outs.append((out / "result.json").read_bytes())
-    assert outs[1:] == outs[:1] * 3
+        out = tmp_path / f"blas{blas}"
+        subprocess.run(
+            [sys.executable, "-m", "kqrk.cli", "experiment", "fig2", "--desk",
+             "--iters", "300", "--out", str(out)],
+            env=env, capture_output=True, check=True,
+        )
+        outs.append((out / "result.json").read_bytes())
+    assert outs[1] == outs[0]
 
 
 def test_import_skips_scipy():
-    # scipy.stats costs about a second at start-up and only fig3_trend needs
-    # it; the thread pool's module costs memory and only threads > 1 needs it.
+    # scipy.stats costs about a second at start-up and only fig3_trend needs it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys, kqrk, kqrk.cli; "
-        "print([name in sys.modules for name in ('scipy', 'concurrent.futures')])"
+        "print('scipy' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "False"
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):

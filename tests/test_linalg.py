@@ -282,6 +282,14 @@ class TestSigmaQMin:
         with pytest.raises(TooManySubsetsError):
             sigma_q_min_exact(dm, Fraction(1, 2))
 
+    def test_enumeration_cap_read_at_call_time(self, monkeypatch):
+        dm = rand_matrix(np.random.default_rng(6), 12, 3)  # C(12, 6) = 924 subsets
+        monkeypatch.setattr(linalg, "SUBSET_ENUMERATION_CAP", 923)
+        with pytest.raises(TooManySubsetsError, match="cap of 923"):
+            sigma_q_min_exact(dm, Fraction(1, 2))
+        monkeypatch.setattr(linalg, "SUBSET_ENUMERATION_CAP", 924)
+        assert sigma_q_min_exact(dm, Fraction(1, 2)).subsets_examined == 924
+
     def test_product_table_budget(self, monkeypatch):
         # Refused before any allocation, in both modes; a level with an
         # analytic shortcut needs no table and is not refused.
