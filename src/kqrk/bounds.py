@@ -26,6 +26,10 @@ Condition certification is directional.  Conditions have the shape
 A sampled subset minimum only overestimates the true one, so in sampled
 mode a satisfied inequality proves nothing (recorded as unknown) while a
 failed inequality is a genuine failure.  Only exact mode certifies true.
+
+``quantile_bounds`` is evaluated after a run, on a realized instance: it
+maps a trace's squared errors to the sparse and noisy ceilings on the
+q-quantile residual.
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ from .linalg import (
     sigma_q_min_sampled,
     singular_extremes,
 )
-from .problems import ordered_magnitude
+from .problems import CorruptedProblem, ordered_magnitude
 from .solvers import InvalidRegimeError
 
 __all__ = [
@@ -74,6 +78,7 @@ __all__ = [
     "dqrk_rate_alternative",
     "compare_dqrk_rates",
     "dqrk_error_horizon",
+    "quantile_bounds",
     "build_report",
 ]
 
@@ -643,6 +648,34 @@ def dqrk_error_horizon(
     (1/C)(2 r (1-q)/(q-q0) + 1) eta_inf^2, defined when C > 0.
     """
     return _certificate(summary, params, "horizon", True, "dqrk_error_horizon", eta_inf=eta_inf)
+
+
+def quantile_bounds(
+    problem: CorruptedProblem,
+    q: Fraction | float,
+    sq_errors,
+) -> tuple:
+    """The sparse and noisy ceilings on the q-quantile residual.
+
+    For iterates at squared error ``sq_errors`` (a number or an array,
+    e.g. a trace's ``sq_errors``) the sparse ceiling is
+    sigma_max |x - x*| / sqrt(m (1 - q - beta)), which holds when the
+    noise is zero; the noisy ceiling adds
+    sqrt(1 - q) |eta|_inf / sqrt(1 - q - beta) and holds in general.
+    Returns (sparse, noisy).  Requires q < 1 - beta for the realized
+    corruption level beta.
+    """
+    level = feasible_level(q, problem.m, lowest=1)
+    beta = problem.minimal_beta()
+    if level >= 1 - beta:
+        raise InvalidRegimeError(
+            f"quantile bound needs q < 1 - beta; q = {level}, beta = {beta}"
+        )
+    sigma_max, _ = singular_extremes(problem.system)
+    denom = math.sqrt(float(1 - level - beta))
+    eta_inf = float(np.max(np.abs(problem.eta))) if problem.eta.size else 0.0
+    sparse = sigma_max * np.sqrt(sq_errors) / (math.sqrt(problem.m) * denom)
+    return sparse, sparse + math.sqrt(float(1 - level)) * eta_inf / denom
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ from .serialize import (
     sha256_file,
     spec_from_dict,
 )
-from .solvers import InvalidRegimeError, SolverConfig, run
+from .solvers import InvalidRegimeError, SolverConfig, _gram_pays, run
 
 __all__ = ["main", "build_hash"]
 
@@ -331,7 +331,6 @@ _SOLVE_OPTS = [
     Opt("iters", _conv_int, default=10_000),
     Opt("seed", _conv_int, default=0),
     Opt("x0", _conv_str, default="default", help="zero|project_first|default"),
-    Opt("residual_mode", _conv_str, default="full", help="full|incremental"),
     Opt("trace", _conv_str, required=True, help="trace CSV output path"),
 ]
 
@@ -350,7 +349,6 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
         iterations=opt["iters"],
         seed=opt["seed"],
         x0=opt["x0"],
-        residual_mode=opt["residual_mode"],
     )
     trace = run(problem, config, residual_norms=True)
     trace_path = Path(opt["trace"])
@@ -367,7 +365,9 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
             "q0": None if q0 is None else str(q0),
             "iters": config.iterations,
             "x0": config.x0 if isinstance(config.x0, str) else "explicit",
-            "residual_mode": config.residual_mode,
+            "residual_mode": "incremental"
+            if config.method != "rk" and _gram_pays(problem.m, problem.n, config.iterations)
+            else "full",
         },
         {"seed": config.seed},
         _checksums([trace_path], trace_path.parent),

@@ -155,11 +155,6 @@ class DenseMatrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def row_sq_norms(self) -> np.ndarray:
-        if self.row_normalized:
-            return np.ones(self.m)
-        return np.einsum("ij,ij->i", self.data, self.data)
-
 
 def _row_blocks(m: int, n: int):
     """Row slices covering 0..m, each at most ROW_BLOCK_BYTES (one row at least)."""

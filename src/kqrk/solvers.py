@@ -21,17 +21,15 @@ the residual: it draws every row up front and steps in O(n) on
 r_i = b_i - <a_i, x>; residual norms, recorded only on request, take one
 b - A X product per block of ``RK_BLOCK`` stored iterates.  qrk and dqrk
 (``run_batch``; ``run`` is a batch of one) step any number of runs of one
-problem in lockstep.  Each ranks its full residual b - A x every step, or
-with ``residual_mode="incremental"`` updates it by rows of one shared
-Gram matrix A A^T, re-synced every ``RESYNC_EVERY`` steps.  Two or more
-runs form their residuals by one product A [x_1 ... x_B] per step while
-A is at most ``SHARED_PRODUCT_BYTES`` (the measured crossover against one
-gemv each), so a batch's traces may differ from solo runs in last bits.
+problem in lockstep.  ``_gram_pays`` picks from m, n and the batch's
+largest iteration count whether every run forms its residual b - A x each
+step, two or more by one product A [x_1 ... x_B] while A is at most
+``SHARED_PRODUCT_BYTES`` (the measured crossover against one gemv each,
+so a batch's traces may differ from solo runs in last bits), or updates
+it by rows of one shared Gram matrix A A^T, re-synced every
+``RESYNC_EVERY`` steps.  Neither rule reads the host.
 
-The quantile ceilings of the paper's analysis are evaluated after the
-run: ``quantile_bounds`` maps a trace's squared errors to the sparse and
-noisy ceilings.  ``horizon_estimate`` reads the squared-error plateau of
-a trace.
+``horizon_estimate`` reads the squared-error plateau of a trace.
 
 Band selection on unit rows sorts a copy of the keys and returns the
 row a stable argsort would put at the chosen rank, so ties go to the
@@ -46,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DenseMatrix, all_finite, feasible_level, singular_extremes
+from .linalg import DenseMatrix, all_finite, feasible_level
 from .problems import CorruptedProblem, InvalidSpecError
 
 __all__ = [
@@ -60,15 +58,16 @@ __all__ = [
     "run",
     "run_batch",
     "horizon_estimate",
-    "quantile_bounds",
 ]
 
 METHODS = ("rk", "qrk", "dqrk")
 
 # Safety factor on the drift bound derived in _drift_tolerance.
 RESIDUAL_DRIFT_SLACK = 2
-# Steps between exact residual resyncs in residual_mode="incremental".
+# Steps between exact resyncs of a residual kept by Gram rows.
 RESYNC_EVERY = 1000
+# Largest m-by-m Gram matrix, in bytes, that _gram_pays admits.
+GRAM_BUDGET_BYTES = 2**30
 RK_BLOCK = 64
 # Largest A, in bytes, for which two or more runs share one residual product
 # per step.  A constant, not a host probe, so output bytes never follow the
@@ -101,10 +100,6 @@ class SolverConfig:
     give integer counts against the system size.  ``x0`` is "zero",
     "project_first" (project the start onto a randomly chosen row
     hyperplane, the dqrk default), or an explicit start vector.
-    ``residual_mode`` "incremental" makes qrk/dqrk maintain the residual
-    with rank-one updates against a cached Gram matrix, re-synced every
-    ``RESYNC_EVERY`` steps and checked against full recomputation; rk
-    never forms the residual, so the mode does not apply to it.
     ``stop_below`` ends the run early once the squared error against the
     known solution drops under the threshold (trace arrays shrink to the
     steps actually taken).
@@ -116,7 +111,6 @@ class SolverConfig:
     iterations: int = 10_000
     seed: int = 0
     x0: str | np.ndarray = "default"
-    residual_mode: str = "full"
     stop_below: float | None = None
 
     def __post_init__(self) -> None:
@@ -132,8 +126,6 @@ class SolverConfig:
             raise InvalidSpecError("q0 is only meaningful for dqrk")
         if self.method == "rk" and self.q is not None:
             raise InvalidSpecError("q is only meaningful for qrk/dqrk")
-        if self.residual_mode not in ("full", "incremental"):
-            raise InvalidSpecError(f"unknown residual_mode {self.residual_mode!r}")
         if self.stop_below is not None and not self.stop_below > 0:
             raise InvalidSpecError("stop_below must be positive when set")
         if isinstance(self.x0, str):
@@ -278,6 +270,19 @@ def _initial_x(
     return (b[i] / row_sq[i]) * a[i]
 
 
+def _gram_pays(m: int, n: int, iterations: int) -> bool:
+    """Whether a batch of K = ``iterations`` steps on an m-by-n A keeps
+    its residuals by rows of A A^T instead of forming b - A x every step.
+
+    Flops: K matrix-vector products cost 2Kmn.  The Gram costs m^2 n once
+    (a symmetric product), then O(m) a step and 2mn a resync, so it is
+    repaid once K > m/2.  Memory: the Gram holds m/n times A's bytes, so
+    it is admitted only while m <= 2n, where it at most doubles the
+    resident matrix data, and while its 8 m^2 bytes fit GRAM_BUDGET_BYTES.
+    """
+    return 2 * iterations > m and m <= 2 * n and 8 * m * m <= GRAM_BUDGET_BYTES
+
+
 def _drift_tolerance(steps: int, n: int, rho: float, b_inf: float, ax_peak: float) -> float:
     """Bound on the incremental residual's rounding drift over one window.
 
@@ -304,16 +309,6 @@ def _drift_tolerance(steps: int, n: int, rho: float, b_inf: float, ax_peak: floa
     return RESIDUAL_DRIFT_SLACK * (steps + 1) * (n + 4) * eps * rho * (b_inf + ax_peak)
 
 
-def _residuals(a: np.ndarray, b: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> None:
-    """rs = b - A x for each row x of xs, by one product through a C-ordered
-    copy of xs^T while that pays (module docstring), else one gemv a row."""
-    if len(xs) > 1 and a.nbytes <= SHARED_PRODUCT_BYTES:
-        np.subtract(b, np.matmul(a, np.ascontiguousarray(xs.T)).T, out=rs)
-    else:
-        for x, r in zip(xs, rs):
-            np.subtract(b, np.matmul(a, x, out=r), out=r)
-
-
 class _Run:
     """One run's settings, random streams and trace arrays.  Two streams
     split off config.seed, one to initialize and one to select rows, whose
@@ -322,7 +317,6 @@ class _Run:
     def __init__(self, config, a, b, x_star, row_sq, unit_rows, residual_norms):
         big_k, quantile = config.iterations, config.method != "rk"
         self.method, self.iterations, self.stop_below = config.method, big_k, config.stop_below
-        self.incremental = config.residual_mode == "incremental"
         self.k_lo, self.k_hi = _resolve_counts(config.method, config.q, config.q0, a.shape[0])
         init_ss, sel_ss = np.random.SeedSequence(config.seed).spawn(2)
         self.uniforms = np.random.default_rng(sel_ss).random(big_k)
@@ -408,9 +402,10 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
     """Run qrk/dqrk configs on one problem in lockstep; one trace per config.
 
     Each run keeps its own iterations, stop_below, start and seed, and
-    leaves the batch when it stops.  Where every step takes the gemv (one
-    run left, or A above SHARED_PRODUCT_BYTES) a trace is bitwise its solo
-    run's; the shared product moves its floats by about 1e-15 relative.
+    leaves the batch when it stops.  Where every residual takes the gemv
+    (on the Gram path, with one run left, or A above SHARED_PRODUCT_BYTES)
+    a trace is bitwise its solo run's; the shared product moves its floats
+    by about 1e-15 relative.
     """
     if any(c.method == "rk" for c in configs):
         raise InvalidSpecError("run_batch takes qrk/dqrk configs")
@@ -418,14 +413,13 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
     m, n = a.shape
     row_sq = _row_sq_norms(a, unit_rows)
     runs = [_Run(c, a, b, x_star, row_sq, unit_rows, residual_norms) for c in configs]
-    if any(t.incremental for t in runs):
+    gram = None
+    if _gram_pays(m, n, max((t.iterations for t in runs), default=0)):
         gram = a @ a.T
         b_inf = float(np.max(np.abs(b)))
         a_max = math.sqrt(float(row_sq.max()))
         rho = a_max / math.sqrt(float(row_sq.min()))
-    # Full-mode runs first, so those that form b - A x each step are a prefix.
-    live = sorted(runs, key=lambda t: t.incremental)
-    k, step, d = 0, np.empty(n), np.empty(n)
+    live, k, step, d = runs, 0, np.empty(n), np.empty(n)
     while live:
         if k == 0 or len(live) < len(xs):
             xs = np.array([t.x for t in live])
@@ -433,9 +427,14 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
             keys, srt, hits = np.empty_like(rs), np.empty_like(rs), np.empty(rs.shape, dtype=bool)
             for t, x, r in zip(live, xs, rs):
                 t.x, t.r = x, r
-            full = sum(not t.incremental for t in live)
-        formed = len(live) if k == 0 else full
-        _residuals(a, b, xs[:formed], rs[:formed])
+        if gram is None and len(xs) > 1 and a.nbytes <= SHARED_PRODUCT_BYTES:
+            # One product through a C-ordered copy of xs^T (module docstring).
+            np.subtract(b, np.matmul(a, np.ascontiguousarray(xs.T)).T, out=rs)
+        elif gram is None or k == 0:
+            # One gemv a run.  Gram updates carry a residual's rounding to the
+            # next resync, so the Gram path forms it as a solo run does.
+            for x, r in zip(xs, rs):
+                np.subtract(b, np.matmul(a, x, out=r), out=r)
         np.abs(rs, out=keys)
         if unit_rows:
             np.copyto(srt, keys)
@@ -463,7 +462,7 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
             coeff = r[i] / row_sq[i]
             np.multiply(a[i], coeff, out=step)
             np.add(x, step, out=x)
-            if t.incremental:
+            if gram is not None:
                 np.multiply(gram[i], coeff, out=key)  # key is free until next step
                 np.subtract(r, key, out=r)
                 t.xsq_peak = max(t.xsq_peak, float(x @ x))
@@ -481,34 +480,6 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
         live = [t for t in live if t.last > k]
         k += 1
     return [t.trace() for t in runs]
-
-
-def quantile_bounds(
-    problem: CorruptedProblem,
-    q: Fraction | float,
-    sq_errors,
-) -> tuple:
-    """The sparse and noisy ceilings on the q-quantile residual.
-
-    For iterates at squared error ``sq_errors`` (a number or an array,
-    e.g. a trace's ``sq_errors``) the sparse ceiling is
-    sigma_max |x - x*| / sqrt(m (1 - q - beta)), which holds when the
-    noise is zero; the noisy ceiling adds
-    sqrt(1 - q) |eta|_inf / sqrt(1 - q - beta) and holds in general.
-    Returns (sparse, noisy).  Requires q < 1 - beta for the realized
-    corruption level beta.
-    """
-    level = feasible_level(q, problem.m, lowest=1)
-    beta = problem.minimal_beta()
-    if level >= 1 - beta:
-        raise InvalidRegimeError(
-            f"quantile bound needs q < 1 - beta; q = {level}, beta = {beta}"
-        )
-    sigma_max, _ = singular_extremes(problem.system)
-    denom = math.sqrt(float(1 - level - beta))
-    eta_inf = float(np.max(np.abs(problem.eta))) if problem.eta.size else 0.0
-    sparse = sigma_max * np.sqrt(sq_errors) / (math.sqrt(problem.m) * denom)
-    return sparse, sparse + math.sqrt(float(1 - level)) * eta_inf / denom
 
 
 def horizon_estimate(trace: RunTrace, window: int = DEFAULT_HORIZON_WINDOW) -> float:

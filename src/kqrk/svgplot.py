@@ -154,10 +154,11 @@ def chart(
     ys = [np.asarray(s.y, dtype=np.float64).ravel() for s in series]
     floor = None
     if ylog:
-        # points at/below zero get clamped one decade under the positive min
+        # points at/below zero get clamped one decade under the positive min,
+        # or at the smallest normal float where that decade underflows to 0
         pos = [a[np.isfinite(a) & (a > 0)] for a in ys]
         smallest = min((float(a.min()) for a in pos if a.size), default=1e-16)
-        floor = 10.0 ** (math.floor(math.log10(smallest)) - 1)
+        floor = max(10.0 ** (math.floor(math.log10(smallest)) - 1), np.finfo(np.float64).tiny)
         ys = [np.maximum(a, floor) for a in ys]
 
     x_lo, x_hi = _data_range(xs, xlog)

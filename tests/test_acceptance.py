@@ -24,6 +24,7 @@ from kqrk.bounds import (
     qrk_error_horizon,
     qrk_rate_alternative,
     qrk_rate_original,
+    quantile_bounds,
     robust_params,
     spectral_summary,
 )
@@ -36,7 +37,7 @@ from kqrk.linalg import (
     sigma_q_min_sampled,
 )
 from kqrk.problems import CorruptedProblem, GenSpec, generate
-from kqrk.solvers import SolverConfig, horizon_estimate, quantile_bounds, run
+from kqrk.solvers import SolverConfig, horizon_estimate, run
 
 
 def _verdict(tag: str, detail: str, t0: float, budget: float | None = None) -> None:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kqrk import solvers
 from kqrk.cli import build_hash, main
 from kqrk.experiments import emit, load_result
 from kqrk.serialize import sha256_file
@@ -135,7 +136,43 @@ class TestSolve:
         doc = json.loads((tmp_path / "run" / "trace.manifest.json").read_text())
         assert doc["subcommand"] == "solve"
         assert doc["parameters"]["method"] == "dqrk"
+        assert doc["parameters"]["residual_mode"] == "full"
         assert "trace.csv" in doc["outputs"]
+
+    def test_manifest_records_the_gram_path(self, tmp_path):
+        # m = 2n and 4000 steps > m/2: the rule keeps the residual by Gram rows.
+        bundle = _gen(tmp_path, m=1000, n=500, seed="3")
+        trace = tmp_path / "trace.csv"
+        argv = ["solve", "--problem", str(bundle), "--method", "dqrk", "--q", "4/5",
+                "--q0", "3/5", "--iters", "4000", "--trace", str(trace)]
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "trace.manifest.json").read_text())
+        assert doc["parameters"]["residual_mode"] == "incremental"
+
+    def test_residual_drift_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_DRIFT_SLACK", 0.0)
+        bundle = _gen(tmp_path, m=40, n=20)
+        trace = tmp_path / "trace.csv"
+        argv = ["solve", "--problem", str(bundle), "--method", "qrk", "--q", "4/5",
+                "--iters", "1000", "--trace", str(trace)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ResidualDriftError: ")
+        assert not trace.exists()
+
+    def test_residual_mode_is_not_an_option(self, tmp_path, capsys):
+        # The residual path is the solver's rule; neither the flag nor a
+        # config key selects it.
+        bundle = _gen(tmp_path)
+        argv = ["solve", "--problem", str(bundle), "--method", "qrk", "--q", "4/5",
+                "--trace", str(tmp_path / "trace.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--residual-mode", "incremental"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("residual_mode = incremental\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "unknown config keys: ['residual_mode']" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_rk_trace_has_empty_quantiles(self, tmp_path):
         bundle = _gen(tmp_path)

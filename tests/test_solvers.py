@@ -1,5 +1,4 @@
 """Solver behavior: projections, band selection, traces, stopping."""
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kqrk.bounds import quantile_bounds
+from kqrk.experiments import FIGURES, desk_profile, paper_profile
 from kqrk.linalg import DenseMatrix
 from kqrk.problems import GenSpec, InvalidSpecError, generate
 from kqrk.solvers import (
@@ -17,7 +18,6 @@ from kqrk.solvers import (
     WindowTooLargeError,
     _select_in_band,
     horizon_estimate,
-    quantile_bounds,
     run,
     run_batch,
 )
@@ -34,6 +34,11 @@ def _uniforms(seed, count):
 
 def _one_step(system, method, seed, x0, **levels):
     return run(system, SolverConfig(method=method, iterations=1, seed=seed, x0=x0, **levels))
+
+
+def _force_gram(monkeypatch, on):
+    """Make the residual-path rule pick the Gram (on) or the matvec."""
+    monkeypatch.setattr(solvers, "_gram_pays", lambda m, n, iterations: on)
 
 
 def _problem(m=40, n=4, beta=Fraction(1, 10), scale=20.0, seed=5, **kw):
@@ -314,14 +319,13 @@ class TestRunTrace:
         with pytest.raises(ValueError):
             horizon_estimate(trace)
 
-    def test_incremental_matches_full(self):
+    def test_incremental_matches_full(self, monkeypatch):
         prob = _problem(m=50, n=5, seed=21)
-        cfg_full = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=300, seed=9)
-        cfg_inc = SolverConfig(
-            method="qrk", q=Fraction(4, 5), iterations=300, seed=9,
-            residual_mode="incremental",
-        )
-        t_full, t_inc = (run(prob, c, residual_norms=True) for c in (cfg_full, cfg_inc))
+        cfg = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=300, seed=9)
+        _force_gram(monkeypatch, False)
+        t_full = run(prob, cfg, residual_norms=True)
+        _force_gram(monkeypatch, True)
+        t_inc = run(prob, cfg, residual_norms=True)
         np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
         np.testing.assert_allclose(
             t_full.residual_norms, t_inc.residual_norms, rtol=1e-9
@@ -329,7 +333,7 @@ class TestRunTrace:
         np.testing.assert_allclose(t_full.final_x, t_inc.final_x, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("method", ["qrk", "dqrk"])
-    def test_incremental_drift_bound_is_relative(self, method):
+    def test_incremental_drift_bound_is_relative(self, monkeypatch, method):
         # Corruption of scale 1e6 drifts the incremental residual by a few
         # 1e-9 per 1000 steps: rounding at the size of b, which an absolute
         # bound of 1e-9 used to reject.  It must pick what the full path does.
@@ -337,21 +341,19 @@ class TestRunTrace:
             GenSpec(m=1000, n=200, beta=Fraction(1, 20), corruption_scale=1e6, seed=3)
         )
         levels = {"q": Fraction(4, 5), "q0": Fraction(3, 5) if method == "dqrk" else None}
-        full = SolverConfig(method=method, iterations=3000, seed=3, **levels)
-        inc = SolverConfig(
-            method=method, iterations=3000, seed=3, residual_mode="incremental", **levels
-        )
-        t_full, t_inc = (run(prob, c, residual_norms=True) for c in (full, inc))
+        cfg = SolverConfig(method=method, iterations=3000, seed=3, **levels)
+        _force_gram(monkeypatch, False)
+        t_full = run(prob, cfg, residual_norms=True)
+        _force_gram(monkeypatch, True)
+        t_inc = run(prob, cfg, residual_norms=True)
         np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
         np.testing.assert_allclose(t_full.residual_norms, t_inc.residual_norms, rtol=1e-12)
 
     def test_drift_past_the_bound_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "RESIDUAL_DRIFT_SLACK", 0.0)
         monkeypatch.setattr(solvers, "RESYNC_EVERY", 100)
-        cfg = SolverConfig(
-            method="qrk", q=Fraction(4, 5), iterations=300, seed=9,
-            residual_mode="incremental",
-        )
+        _force_gram(monkeypatch, True)
+        cfg = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=300, seed=9)
         with pytest.raises(ResidualDriftError):
             run(_problem(m=50, n=5, seed=21), cfg)
 
@@ -368,10 +370,12 @@ class TestRunTrace:
 
         monkeypatch.setattr(solvers, "_drift_tolerance", spy)
         prob = _problem(m=50, n=5, seed=21)
-        levels = dict(method="qrk", q=Fraction(4, 5), iterations=300, seed=9)
-        t_inc = run(prob, SolverConfig(residual_mode="incremental", **levels), residual_norms=True)
+        cfg = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=300, seed=9)
+        _force_gram(monkeypatch, True)
+        t_inc = run(prob, cfg, residual_norms=True)
         assert windows == [10] * 30
-        t_full = run(prob, SolverConfig(**levels), residual_norms=True)
+        _force_gram(monkeypatch, False)
+        t_full = run(prob, cfg, residual_norms=True)
         np.testing.assert_array_equal(t_full.chosen_indices, t_inc.chosen_indices)
         np.testing.assert_allclose(t_full.residual_norms, t_inc.residual_norms, rtol=1e-12)
 
@@ -477,8 +481,8 @@ def _assert_batch_matches_solo(problem, configs, rtol):
 
 @st.composite
 def _batches(draw):
-    """A small system, unit or not, and 2-4 qrk/dqrk configs that differ in
-    seed, iterations, start, stop_below and residual mode."""
+    """A small system, unit or not, 2-4 qrk/dqrk configs that differ in
+    seed, iterations, start and stop_below, and the residual path."""
     m, n = draw(st.sampled_from([20, 40])), draw(st.integers(2, 6))
     seed = draw(st.integers(0, 999))
     unit = draw(st.booleans())
@@ -502,37 +506,41 @@ def _batches(draw):
             iterations=draw(st.integers(1, 120)),
             seed=draw(st.integers(0, 999)),
             x0=np.full(n, draw(st.sampled_from([-1.0, 0.5]))) if x0 == "vector" else x0,
-            residual_mode=draw(st.sampled_from(["full", "incremental"])),
             stop_below=draw(st.sampled_from([None, 0.5, 0.05])) if unit else None,
         ))
-    return problem, configs
+    return problem, configs, draw(st.booleans())
 
 
 class TestBatch:
     @given(_batches())
     @settings(max_examples=60, deadline=None)
     def test_batch_matches_solo(self, case):
-        problem, configs = case
-        _assert_batch_matches_solo(problem, configs, rtol=1e-12)
+        problem, configs, gram = case
+        with pytest.MonkeyPatch.context() as mp:
+            _force_gram(mp, gram)
+            _assert_batch_matches_solo(problem, configs, rtol=1e-12)
 
     def test_without_the_shared_product_batch_is_solo(self, monkeypatch):
-        # With the product rule off every residual takes the gemv a solo
-        # run takes, so the batch is bit-identical to the solo runs.
-        monkeypatch.setattr(solvers, "SHARED_PRODUCT_BYTES", 0)
+        # The Gram path never shares the product, and with the product rule
+        # off neither does the matvec path: every residual takes the gemv a
+        # solo run takes, so the batch is bit-identical to the solo runs.
         prob = _problem(m=40, n=4, noise_stddev=0.01, seed=3)
         levels = dict(q=Fraction(4, 5), q0=Fraction(3, 5))
         configs = [
             SolverConfig(method="qrk", q=levels["q"], iterations=90, seed=1),
             SolverConfig(method="dqrk", iterations=150, seed=2, **levels),
             SolverConfig(method="dqrk", iterations=60, seed=3, x0="zero", stop_below=0.05, **levels),
-            SolverConfig(method="qrk", q=levels["q"], iterations=120, seed=4,
-                         residual_mode="incremental"),
+            SolverConfig(method="qrk", q=levels["q"], iterations=120, seed=4),
         ]
+        _force_gram(monkeypatch, True)
+        _assert_batch_matches_solo(prob, configs, rtol=0)
+        _force_gram(monkeypatch, False)
+        monkeypatch.setattr(solvers, "SHARED_PRODUCT_BYTES", 0)
         _assert_batch_matches_solo(prob, configs, rtol=0)
 
     def test_shared_product_rule(self, monkeypatch):
-        # One product per step for two or more full-mode runs while A is at
-        # most SHARED_PRODUCT_BYTES; one gemv per run otherwise.
+        # One product per step for two or more runs on the matvec path while
+        # A is at most SHARED_PRODUCT_BYTES; one gemv per run otherwise.
         prob = _problem(m=40, n=4)
         cfgs = [SolverConfig(method="qrk", q=Fraction(4, 5), iterations=10, seed=s) for s in (1, 2)]
         calls = []
@@ -546,10 +554,13 @@ class TestBatch:
         run_batch(prob, cfgs)
         assert calls == [2] * 11
         calls.clear()
-        # Incremental runs form b - A x once, then update it by Gram rows.
-        run_batch(prob, [replace(c, residual_mode="incremental") for c in cfgs])
-        assert calls == [2]
+        # On the Gram path each run forms b - A x once, by its own gemv, then
+        # updates it by Gram rows.
+        _force_gram(monkeypatch, True)
+        run_batch(prob, cfgs)
+        assert calls == [1, 1]
         calls.clear()
+        _force_gram(monkeypatch, False)
         monkeypatch.setattr(solvers, "SHARED_PRODUCT_BYTES", prob.system.data.nbytes - 1)
         run_batch(prob, cfgs)
         assert calls == [1] * 22
@@ -557,6 +568,60 @@ class TestBatch:
     def test_rejects_rk(self):
         with pytest.raises(InvalidSpecError):
             run_batch(_problem(), [SolverConfig(method="rk", iterations=5)])
+
+
+class TestGramRule:
+    def test_profiles(self):
+        # Every paper profile keeps its residuals by Gram rows, every desk
+        # profile (m = 5n) by the matvec.
+        for figure in FIGURES:
+            paper, desk = paper_profile(figure), desk_profile(figure)
+            assert solvers._gram_pays(paper.m, paper.n, paper.iterations), figure
+            assert not solvers._gram_pays(desk.m, desk.n, desk.iterations), figure
+
+    def test_edges(self):
+        # The m^2 n build is repaid once K > m/2; the m^2 store is admitted
+        # while m <= 2n.
+        assert not solvers._gram_pays(1000, 500, 500)
+        assert solvers._gram_pays(1000, 500, 501)
+        assert not solvers._gram_pays(1001, 501, 500)
+        assert solvers._gram_pays(1001, 501, 501)
+        assert not solvers._gram_pays(1001, 500, 10**6)
+        assert solvers._gram_pays(40, 40, 21)
+
+    def test_budget(self, monkeypatch):
+        # About 1 GiB: an 11585-row Gram fits, an 11586-row one does not.
+        assert solvers._gram_pays(11585, 6000, 10**6)
+        assert not solvers._gram_pays(11586, 6000, 10**6)
+        monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 8 * 1000 * 1000)
+        assert solvers._gram_pays(1000, 500, 10**4)
+        monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 8 * 1000 * 1000 - 1)
+        assert not solvers._gram_pays(1000, 500, 10**4)
+
+    def test_batch_follows_the_rule(self, monkeypatch):
+        # m = 2n: the batch's longest run (30 steps > m/2) selects the Gram
+        # for both runs, so each forms b - A x once; a budget one byte short
+        # of the Gram puts every step on the matvec.
+        prob = _problem(m=40, n=20)
+        cfgs = [
+            SolverConfig(method="qrk", q=Fraction(4, 5), iterations=k, seed=k) for k in (10, 30)
+        ]
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, x, **kw):
+            calls.append(np.ndim(x))
+            return matmul(a, x, **kw)
+
+        monkeypatch.setattr(solvers.np, "matmul", spy)
+        gram_path = run_batch(prob, cfgs)
+        assert calls == [1, 1]
+        calls.clear()
+        monkeypatch.setattr(solvers, "GRAM_BUDGET_BYTES", 8 * 40 * 40 - 1)
+        matvec_path = run_batch(prob, cfgs)
+        assert calls == [2] * 11 + [1] * 20
+        for g, f in zip(gram_path, matvec_path):
+            np.testing.assert_array_equal(g.chosen_indices, f.chosen_indices)
 
 
 class TestConfigValidation:
@@ -569,7 +634,6 @@ class TestConfigValidation:
             {"method": "rk", "q": 0.8},
             {"method": "qrk", "q": 0.8, "q0": 0.5},
             {"method": "rk", "iterations": 0},
-            {"method": "rk", "residual_mode": "lazy"},
             {"method": "rk", "stop_below": 0.0},
             {"method": "rk", "stop_below": -1.0},
             {"method": "rk", "x0": "center"},
@@ -580,11 +644,11 @@ class TestConfigValidation:
             SolverConfig(**kw)
 
     @pytest.mark.parametrize(
-        "method,levels",
+        "method,levels,gram",
         [
-            ("rk", {}),
-            ("qrk", {"q": Fraction(4, 5)}),
-            ("qrk", {"q": Fraction(4, 5), "residual_mode": "incremental"}),
+            ("rk", {}, False),
+            ("qrk", {"q": Fraction(4, 5)}, False),
+            ("qrk", {"q": Fraction(4, 5)}, True),
         ],
         ids=["rk", "qrk", "qrk-incremental"],
     )
@@ -592,7 +656,8 @@ class TestConfigValidation:
         "defect,message",
         [("nan_b", "finite"), ("inf_a", "finite"), ("short_b", "one entry of b per row")],
     )
-    def test_bad_system_rejected_at_run(self, method, levels, defect, message):
+    def test_bad_system_rejected_at_run(self, monkeypatch, method, levels, gram, defect, message):
+        _force_gram(monkeypatch, gram)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal(20)

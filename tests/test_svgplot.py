@@ -61,6 +61,13 @@ class TestChart:
         text = chart([s], ylog=True)  # must not raise on log10
         assert "<polyline" in text
 
+    def test_ylog_clamp_floor_is_normal(self):
+        # One decade under a subnormal minimum underflows to 0, whose log10
+        # fails; the clamp stops at the smallest normal float instead.
+        s = Series(label="a", x=np.arange(3.0), y=np.array([5e-324, 1.0, -1.0]))
+        text = chart([s])
+        assert "<polyline" in text
+
     def test_marker_series_draws_circles(self):
         s = Series(label="pts", x=np.arange(5) + 1.0, y=np.ones(5), marker="dot")
         text = chart([s], xlog=True, ylog=True)
