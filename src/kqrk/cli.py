@@ -127,23 +127,6 @@ class Opt:
     help: str = ""
 
 
-def _conv_int(s: str) -> int:
-    return int(s)
-
-
-def _conv_float(s: str) -> float:
-    return float(s)
-
-
-def _conv_str(s: str) -> str:
-    return s
-
-
-def _conv_level(s: str) -> Fraction:
-    # accepts decimals ("0.05") and explicit rationals ("1/20")
-    return as_level(s)
-
-
 def _conv_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -270,16 +253,16 @@ def _checksums(paths: list[Path], base: Path) -> dict[str, str]:
 
 
 _GEN_OPTS = [
-    Opt("m", _conv_int, required=True, help="rows"),
-    Opt("n", _conv_int, required=True, help="columns"),
-    Opt("beta", _conv_level, default=Fraction(0), help="corrupted fraction"),
-    Opt("scale", _conv_float, default=0.0, help="corruption magnitude"),
-    Opt("noise", _conv_float, default=1.0, help="noise stddev"),
-    Opt("ensemble", _conv_str, default="gaussian", help="gaussian|uniform"),
+    Opt("m", int, required=True, help="rows"),
+    Opt("n", int, required=True, help="columns"),
+    Opt("beta", as_level, default=Fraction(0), help="corrupted fraction"),
+    Opt("scale", float, default=0.0, help="corruption magnitude"),
+    Opt("noise", float, default=1.0, help="noise stddev"),
+    Opt("ensemble", str, default="gaussian", help="gaussian|uniform"),
     Opt("disjoint", _conv_bool, default=False, help="corruption rows get no noise"),
     Opt("signed", _conv_bool, default=False, help="random corruption signs"),
-    Opt("seed", _conv_int, default=0),
-    Opt("out", _conv_str, required=True, help="output directory"),
+    Opt("seed", int, default=0),
+    Opt("out", str, required=True, help="output directory"),
 ]
 
 
@@ -324,14 +307,14 @@ def cmd_gen(ns: argparse.Namespace, argv: list[str]) -> int:
 
 
 _SOLVE_OPTS = [
-    Opt("problem", _conv_str, required=True, help="problem bundle directory"),
-    Opt("method", _conv_str, required=True, help="rk|qrk|dqrk"),
-    Opt("q", _conv_level, help="upper quantile level"),
-    Opt("q0", _conv_level, help="lower quantile level (dqrk)"),
-    Opt("iters", _conv_int, default=10_000),
-    Opt("seed", _conv_int, default=0),
-    Opt("x0", _conv_str, default="default", help="zero|project_first|default"),
-    Opt("trace", _conv_str, required=True, help="trace CSV output path"),
+    Opt("problem", str, required=True, help="problem bundle directory"),
+    Opt("method", str, required=True, help="rk|qrk|dqrk"),
+    Opt("q", as_level, help="upper quantile level"),
+    Opt("q0", as_level, help="lower quantile level (dqrk)"),
+    Opt("iters", int, default=10_000),
+    Opt("seed", int, default=0),
+    Opt("x0", str, default="default", help="zero|project_first|default"),
+    Opt("trace", str, required=True, help="trace CSV output path"),
 ]
 
 
@@ -379,13 +362,13 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
 
 
 _BOUNDS_OPTS = [
-    Opt("problem", _conv_str, required=True, help="problem bundle directory"),
-    Opt("beta", _conv_level, help="assumed corruption level (default: bundle)"),
-    Opt("q", _conv_level, required=True, help="upper quantile level"),
-    Opt("q0", _conv_level, help="lower quantile level (dqrk records)"),
+    Opt("problem", str, required=True, help="problem bundle directory"),
+    Opt("beta", as_level, help="assumed corruption level (default: bundle)"),
+    Opt("q", as_level, required=True, help="upper quantile level"),
+    Opt("q0", as_level, help="lower quantile level (dqrk records)"),
     Opt("sigma_mode", _conv_sigma_mode, default=("exact", None), help="exact|sampled:N"),
-    Opt("seed", _conv_int, default=0, help="seed for sampled mode"),
-    Opt("out", _conv_str, required=True, help="report JSON path"),
+    Opt("seed", int, default=0, help="seed for sampled mode"),
+    Opt("out", str, required=True, help="report JSON path"),
 ]
 
 
@@ -441,21 +424,21 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
 
 
 _EXPERIMENT_OPTS = [
-    Opt("m", _conv_int),
-    Opt("n", _conv_int),
-    Opt("beta", _conv_level),
-    Opt("q", _conv_level),
-    Opt("q0", _conv_level),
-    Opt("iters", _conv_int),
-    Opt("trials", _conv_int),
+    Opt("m", int),
+    Opt("n", int),
+    Opt("beta", as_level),
+    Opt("q", as_level),
+    Opt("q0", as_level),
+    Opt("iters", int),
+    Opt("trials", int),
     Opt("scales", _conv_float_list, help="comma-separated corruption scales"),
     Opt("ensembles", _conv_list, help="comma-separated subset of gaussian,uniform"),
     Opt("methods", _conv_list, help="comma-separated subset of rk,qrk,dqrk"),
-    Opt("scale", _conv_float, help="fig2 corruption magnitude"),
-    Opt("noise", _conv_float, help="noise stddev"),
-    Opt("window", _conv_int, help="horizon window"),
-    Opt("seed", _conv_int, default=0),
-    Opt("out", _conv_str, required=True, help="output directory"),
+    Opt("scale", float, help="fig2 corruption magnitude"),
+    Opt("noise", float, help="noise stddev"),
+    Opt("window", int, help="horizon window"),
+    Opt("seed", int, default=0),
+    Opt("out", str, required=True, help="output directory"),
 ]
 
 _EXPERIMENT_FIELD_MAP = {
@@ -518,10 +501,10 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
 
 
 _VERIFY_OPTS = [
-    Opt("problem", _conv_str, help="problem bundle directory"),
+    Opt("problem", str, help="problem bundle directory"),
     Opt(
         "experiment",
-        _conv_str,
+        str,
         help="experiment output directory (re-runs the experiment once)",
     ),
 ]

@@ -259,10 +259,7 @@ class MultisetQuantileSpec:
     m: int
 
     def __post_init__(self) -> None:
-        level = feasible_level(self.q, self.m, lowest=1)
-        if not (0 < level <= 1):
-            raise NonIntegerQuantileError(f"q = {level} outside (0, 1]")
-        object.__setattr__(self, "q", level)
+        object.__setattr__(self, "q", feasible_level(self.q, self.m, lowest=1))
 
     @property
     def count(self) -> int:

@@ -1,20 +1,22 @@
 """Row-action solvers: plain, quantile-screened, and double-screened.
 
-All three methods iterate x <- x + ((b_i - <a_i, x>) / |a_i|^2) a_i, i.e.
-they project the iterate onto the hyperplane of one selected row.  They
-differ only in which rows are eligible each iteration:
+The solvers take systems with unit rows only: a ``CorruptedProblem``, or
+an (A, b) pair whose A is a ``DenseMatrix`` with ``row_normalized=True``
+(``linalg.row_normalize`` makes one).  All three methods iterate
+x <- x + (b_i - <a_i, x>) a_i, i.e. they project the iterate onto the
+hyperplane of one selected row.  They differ only in which rows are
+eligible each iteration:
 
-* rk: every row, sampled with probability |a_i|^2 / |A|_F^2.
+* rk: every row, sampled uniformly (the |a_i|^2-weighted choice of
+  Strohmer and Vershynin, on unit rows).
 * qrk: rows whose residual magnitude sits at or below the q-quantile.
 * dqrk: rows whose residual magnitude sits strictly above the q0-quantile
   band and at or below the q-quantile band.
 
 Quantiles follow the exact multiset convention: with k = q*m, the
 admissible set is the k lowest residuals counted with multiplicity, ties
-at the cut resolved toward the lowest row index.  On systems without unit
-rows the residual entries are scaled by 1 / |a_j|^2 before ranking, and
-selection within the admissible set is weighted by |a_i|^2 (uniform for
-unit rows).
+at the cut resolved toward the lowest row index, and the row is drawn
+uniformly from it.
 
 There is one step loop per residual policy.  rk (``run``) never reads
 the residual: it draws every row up front and steps in O(n) on
@@ -31,10 +33,8 @@ it by rows of one shared Gram matrix A A^T, re-synced every
 
 ``horizon_estimate`` reads the squared-error plateau of a trace.
 
-Band selection on unit rows sorts a copy of the keys and returns the
-row a stable argsort would put at the chosen rank, so ties go to the
-lowest row index; other rows take a stable argsort, since the weighted
-pick walks the band in that order.
+Band selection sorts a copy of the keys and returns the row a stable
+argsort would put at the chosen rank, so ties go to the lowest row index.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DenseMatrix, all_finite, feasible_level
+from .linalg import DenseMatrix, feasible_level
 from .problems import CorruptedProblem, InvalidSpecError
 
 __all__ = [
@@ -162,63 +162,44 @@ class RunTrace:
         return len(self.chosen_indices)
 
 
-def _unpack(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
+def _unpack(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A, b and the known solution (None for an (A, b) pair) of a system
+    with unit rows; ValueError for any other A, or a b that is not finite
+    or not one entry per row."""
     if isinstance(problem, CorruptedProblem):
-        unpacked = (
-            problem.system.data,
-            problem.b,
-            problem.x_star,
-            problem.system.row_normalized,
-        )
+        system, b, x_star = problem.system, problem.b, problem.x_star
     else:
-        a, b = problem
-        unit_rows = isinstance(a, DenseMatrix) and a.row_normalized
-        a = a.data if isinstance(a, DenseMatrix) else np.asarray(a, dtype=np.float64)
-        unpacked = (a, np.asarray(b, dtype=np.float64), None, unit_rows)
-    a, b = unpacked[:2]
-    if a.ndim != 2 or b.shape != (a.shape[0],):
-        raise ValueError(f"A must be 2-D with one entry of b per row; got {a.shape} and {b.shape}")
-    if not (all_finite(a) and np.isfinite(b).all()):
-        raise ValueError("A and b must be finite")
-    return unpacked
+        system, b = problem
+        b, x_star = np.asarray(b, dtype=np.float64), None
+    if not (isinstance(system, DenseMatrix) and system.row_normalized):
+        raise ValueError(
+            "A must be a DenseMatrix with row_normalized=True; linalg.row_normalize makes one"
+        )
+    a = system.data
+    if b.shape != (a.shape[0],):
+        raise ValueError(f"need one entry of b per row of A; got A {a.shape} and b {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
+    return a, b, x_star
 
 
-def _row_sq_norms(a: np.ndarray, unit_rows: bool) -> np.ndarray:
-    if unit_rows:
-        return np.ones(a.shape[0])
-    return np.einsum("ij,ij->i", a, a)
-
-
-def _pick_rows(row_sq: np.ndarray, unit_rows: bool, us) -> np.ndarray:
-    """Rows drawn with probability |a_i|^2/|A|_F^2, one per uniform in ``us``.
-
-    Unit rows take floor(u m); other rows invert the cumsum of |a_i|^2.
-    """
-    m = len(row_sq)
-    us = np.asarray(us)
-    if unit_rows:
-        return np.minimum((us * m).astype(np.int64), m - 1)
-    cum = np.cumsum(row_sq)
-    return np.minimum(np.searchsorted(cum, us * cum[-1], side="right"), m - 1)
+def _pick_rows(m: int, us) -> np.ndarray:
+    """Rows drawn uniformly from range(m): floor(u m) for each uniform in ``us``."""
+    return np.minimum((np.asarray(us) * m).astype(np.int64), m - 1)
 
 
 def _select_in_band(
-    keys: np.ndarray, k_lo: int, k_hi: int, row_sq: np.ndarray, unit_rows: bool, u: float,
+    keys: np.ndarray, k_lo: int, k_hi: int, u: float,
     s: np.ndarray | None = None, hits: np.ndarray | None = None,
 ) -> tuple[int, float, float]:
     """Pick a row from the rank band [k_lo, k_hi) of keys; return (i, Q0, Q).
 
     Q0 and Q are the k_lo-th and k_hi-th smallest keys (Q0 is unused when
     k_lo is 0).  The row is the one a stable argsort would put at the
-    chosen rank, so ties go to the lowest row index.  On unit rows ``s``,
-    if given, holds ``keys`` sorted, and ``hits`` (bool, shaped like
-    ``keys``) is an optional work buffer.
+    chosen rank, so ties go to the lowest row index.  ``s``, if given,
+    holds ``keys`` sorted, and ``hits`` (bool, shaped like ``keys``) is an
+    optional work buffer.
     """
-    if not unit_rows:
-        order = np.argsort(keys, kind="stable")
-        band = order[k_lo:k_hi]
-        i = int(band[_pick_rows(row_sq[band], False, u)])
-        return i, float(keys[order[k_lo - 1]]), float(keys[order[k_hi - 1]])
     s = np.sort(keys) if s is None else s
     hits = np.empty(keys.shape, dtype=bool) if hits is None else hits
     pos = k_lo + min(int(u * (k_hi - k_lo)), k_hi - k_lo - 1)
@@ -251,8 +232,7 @@ def _resolve_counts(method: str, q, q0, m: int) -> tuple[int, int]:
 
 
 def _initial_x(
-    config: SolverConfig, a: np.ndarray, b: np.ndarray, row_sq: np.ndarray,
-    unit_rows: bool, init_rng: np.random.Generator,
+    config: SolverConfig, a: np.ndarray, b: np.ndarray, init_rng: np.random.Generator
 ) -> np.ndarray:
     n = a.shape[1]
     policy = config.x0
@@ -266,8 +246,8 @@ def _initial_x(
         return np.zeros(n)
     # project_first: land on a randomly chosen row hyperplane so that
     # <x0, a_i> = b_i holds for some i.
-    i = int(_pick_rows(row_sq, unit_rows, init_rng.random()))
-    return (b[i] / row_sq[i]) * a[i]
+    i = int(_pick_rows(a.shape[0], init_rng.random()))
+    return b[i] * a[i]
 
 
 def _gram_pays(m: int, n: int, iterations: int) -> bool:
@@ -283,30 +263,28 @@ def _gram_pays(m: int, n: int, iterations: int) -> bool:
     return 2 * iterations > m and m <= 2 * n and 8 * m * m <= GRAM_BUDGET_BYTES
 
 
-def _drift_tolerance(steps: int, n: int, rho: float, b_inf: float, ax_peak: float) -> float:
+def _drift_tolerance(steps: int, n: int, b_inf: float, x_peak: float) -> float:
     """Bound on the incremental residual's rounding drift over one window.
 
     Write u = eps/2 for the unit roundoff, S = ``steps`` since the last
-    exact residual, rho = max|a_j| / min|a_i| (1 on unit rows), and
-    ax_peak = max|a_j| times the window's largest ||x||_2.  A step on row
-    i computes c = r_i / |a_i|^2 once, for x <- x + c a_i and for
-    r_j <- r_j - c G_ij, where the computed Gram entry has
-    |G_ij - a_i.a_j| <= n u |a_i| |a_j|.  Entry j of r errs from the
-    exact update by at most (n + 1) u |c| |a_i| |a_j| + u |r_j|; rounding
-    c a_i and x + c a_i, which b - A x sees through |a_j| and the update
-    does not, adds u |c| |a_i| |a_j| + u |a_j| ||x||_2.  As |c| |a_i| |a_j|
-    = |r_i| |a_j| / |a_i| <= rho ||r||_inf, a step adds at most
-    (n + 3) u rho ||r||_inf + u ax_peak.  The exact b - A x that ends the
-    window errs by (n + 1) u (|b_j| + |a_j| ||x||_2).  With ||r||_inf <=
-    ||b||_inf + ax_peak, summing gives
+    exact residual, and x_peak for the window's largest ||x||_2, which
+    bounds |<a_j, x>| on unit rows.  A step on row i moves
+    x <- x + r_i a_i and r_j <- r_j - r_i G_ij, where the computed Gram
+    entry has |G_ij - a_i.a_j| <= n u.  Entry j of r errs from the exact
+    update by at most (n + 1) u |r_i| + u |r_j|; rounding r_i a_i and
+    x + r_i a_i, which b - A x sees through a_j and the update does not,
+    adds u |r_i| + u ||x||_2.  So a step adds at most
+    (n + 3) u ||r||_inf + u x_peak.  The exact b - A x that ends the
+    window errs by (n + 1) u (|b_j| + ||x||_2).  With ||r||_inf <=
+    ||b||_inf + x_peak, summing gives
 
-        drift <= (S + 1) (n + 4) u rho (||b||_inf + ax_peak).
+        drift <= (S + 1) (n + 4) u (||b||_inf + x_peak).
 
     The tolerance takes eps for u, and RESIDUAL_DRIFT_SLACK for second-order
     terms; a wrong Gram row or a lost update drifts by about ||r||_inf.
     """
     eps = np.finfo(np.float64).eps
-    return RESIDUAL_DRIFT_SLACK * (steps + 1) * (n + 4) * eps * rho * (b_inf + ax_peak)
+    return RESIDUAL_DRIFT_SLACK * (steps + 1) * (n + 4) * eps * (b_inf + x_peak)
 
 
 class _Run:
@@ -314,19 +292,20 @@ class _Run:
     split off config.seed, one to initialize and one to select rows, whose
     uniforms are all drawn up front (rk draws its rows from them at once)."""
 
-    def __init__(self, config, a, b, x_star, row_sq, unit_rows, residual_norms):
+    def __init__(self, config, a, b, x_star, residual_norms):
         big_k, quantile = config.iterations, config.method != "rk"
         self.method, self.iterations, self.stop_below = config.method, big_k, config.stop_below
         self.k_lo, self.k_hi = _resolve_counts(config.method, config.q, config.q0, a.shape[0])
         init_ss, sel_ss = np.random.SeedSequence(config.seed).spawn(2)
         self.uniforms = np.random.default_rng(sel_ss).random(big_k)
-        self.x = _initial_x(config, a, b, row_sq, unit_rows, np.random.default_rng(init_ss))
+        self.x = _initial_x(config, a, b, np.random.default_rng(init_ss))
         if config.stop_below is not None and x_star is None:
             raise InvalidSpecError("stop_below needs a problem with a known solution")
         self.xsq_peak = float(self.x @ self.x)
         self.last, self.r = big_k, None  # r: the residual row run_batch steps
-        self.chosen = np.empty(big_k, dtype=np.int64) if quantile else _pick_rows(
-            row_sq, unit_rows, self.uniforms)
+        self.chosen = (
+            np.empty(big_k, dtype=np.int64) if quantile else _pick_rows(a.shape[0], self.uniforms)
+        )
         self.sq_errors = None if x_star is None else np.empty(big_k + 1)
         self.residual_sq = np.empty(big_k + 1) if residual_norms else None
         self.quants_hi = np.empty(big_k + 1) if quantile else None
@@ -351,17 +330,17 @@ class _Run:
 def run(problem, config: SolverConfig, *, residual_norms: bool = False) -> RunTrace:
     """Run a solver for config.iterations steps and record a full trace.
 
-    Deterministic for fixed (problem, config).  A and b must be finite,
-    with one entry of b per row of A; otherwise ValueError.  The trace's
-    residual norms are recorded only with ``residual_norms=True``; rk pays
-    one b - A X product per block of stored iterates for them.  qrk and
-    dqrk run as a batch of one (``run_batch``).
+    Deterministic for fixed (problem, config).  A must have unit rows (see
+    the module docstring) and b must be finite, with one entry per row of
+    A; otherwise ValueError.  The trace's residual norms are recorded only
+    with ``residual_norms=True``; rk pays one b - A X product per block of
+    stored iterates for them.  qrk and dqrk run as a batch of one
+    (``run_batch``).
     """
     if config.method != "rk":
         return run_batch(problem, [config], residual_norms=residual_norms)[0]
-    a, b, x_star, unit_rows = _unpack(problem)
-    row_sq = _row_sq_norms(a, unit_rows)
-    t = _Run(config, a, b, x_star, row_sq, unit_rows, residual_norms)
+    a, b, x_star = _unpack(problem)
+    t = _Run(config, a, b, x_star, residual_norms)
     x, big_k, (m, n) = t.x, t.iterations, a.shape
     # The pick never reads the residual: step on r_i = b_i - a_i.x alone,
     # and get errors (and residual norms, if asked) from the stored
@@ -392,7 +371,7 @@ def run(problem, config: SolverConfig, *, residual_norms: bool = False) -> RunTr
             start = k + 1
         i = t.chosen[k]
         row = a[i]
-        np.multiply(row, (b[i] - row @ x) / row_sq[i], out=step)
+        np.multiply(row, b[i] - row @ x, out=step)
         np.add(x, step, out=x)
     t.x = x
     return t.trace()
@@ -409,16 +388,13 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
     """
     if any(c.method == "rk" for c in configs):
         raise InvalidSpecError("run_batch takes qrk/dqrk configs")
-    a, b, x_star, unit_rows = _unpack(problem)
+    a, b, x_star = _unpack(problem)
     m, n = a.shape
-    row_sq = _row_sq_norms(a, unit_rows)
-    runs = [_Run(c, a, b, x_star, row_sq, unit_rows, residual_norms) for c in configs]
+    runs = [_Run(c, a, b, x_star, residual_norms) for c in configs]
     gram = None
     if _gram_pays(m, n, max((t.iterations for t in runs), default=0)):
         gram = a @ a.T
         b_inf = float(np.max(np.abs(b)))
-        a_max = math.sqrt(float(row_sq.max()))
-        rho = a_max / math.sqrt(float(row_sq.min()))
     live, k, step, d = runs, 0, np.empty(n), np.empty(n)
     while live:
         if k == 0 or len(live) < len(xs):
@@ -436,11 +412,8 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
             for x, r in zip(xs, rs):
                 np.subtract(b, np.matmul(a, x, out=r), out=r)
         np.abs(rs, out=keys)
-        if unit_rows:
-            np.copyto(srt, keys)
-            srt.sort(axis=1)
-        else:
-            np.divide(keys, row_sq, out=keys)
+        np.copyto(srt, keys)
+        srt.sort(axis=1)
         for t, key, s, hit in zip(live, keys, srt, hits):
             x, r = t.x, t.r
             if residual_norms:
@@ -451,7 +424,7 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
             done = k == t.iterations or bool(t.stop_below and t.sq_errors[k] < t.stop_below)
             # The final state records its quantiles; its pick goes unused.
             i, quant_lo, t.quants_hi[k] = _select_in_band(
-                key, t.k_lo, t.k_hi, row_sq, unit_rows, 0.0 if done else t.uniforms[k], s, hit
+                key, t.k_lo, t.k_hi, 0.0 if done else t.uniforms[k], s, hit
             )
             if t.quants_lo is not None:
                 t.quants_lo[k] = quant_lo
@@ -459,19 +432,16 @@ def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrac
                 t.last, t.x = k, x.copy()
                 continue
             t.chosen[k] = i
-            coeff = r[i] / row_sq[i]
-            np.multiply(a[i], coeff, out=step)
+            np.multiply(a[i], r[i], out=step)
             np.add(x, step, out=x)
             if gram is not None:
-                np.multiply(gram[i], coeff, out=key)  # key is free until next step
+                np.multiply(gram[i], r[i], out=key)  # key is free until next step
                 np.subtract(r, key, out=r)
                 t.xsq_peak = max(t.xsq_peak, float(x @ x))
                 if (k + 1) % RESYNC_EVERY == 0:
                     exact = b - a @ x
                     drift = float(np.max(np.abs(r - exact)))
-                    tol = _drift_tolerance(
-                        RESYNC_EVERY, n, rho, b_inf, a_max * math.sqrt(t.xsq_peak)
-                    )
+                    tol = _drift_tolerance(RESYNC_EVERY, n, b_inf, math.sqrt(t.xsq_peak))
                     if drift > tol:
                         msg = f"incremental residual drifted by {drift:.3e} (bound {tol:.3e})"
                         raise ResidualDriftError(msg)

@@ -77,8 +77,7 @@ def test_verify_problem(problem, tmp_path):
 
 
 def test_solver_input_check(problem):
-    a = np.array(problem.system.data)
-    assert traced_peak(solvers._unpack, (a, problem.b)) <= 0.25 * A_BYTES
+    assert traced_peak(solvers._unpack, (problem.system, problem.b)) <= 0.25 * A_BYTES
     assert traced_peak(solvers._unpack, problem) <= 0.25 * A_BYTES
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kqrk.bounds import quantile_bounds
 from kqrk.experiments import FIGURES, desk_profile, paper_profile
-from kqrk.linalg import DenseMatrix
+from kqrk.linalg import DenseMatrix, row_normalize
 from kqrk.problems import GenSpec, InvalidSpecError, generate
 from kqrk.solvers import (
     EmptyAdmissibleSetError,
@@ -41,6 +41,11 @@ def _force_gram(monkeypatch, on):
     monkeypatch.setattr(solvers, "_gram_pays", lambda m, n, iterations: on)
 
 
+def _unit(a):
+    """A with its rows scaled to unit norm, as the solvers require."""
+    return row_normalize(a)[0]
+
+
 def _problem(m=40, n=4, beta=Fraction(1, 10), scale=20.0, seed=5, **kw):
     return generate(
         GenSpec(m=m, n=n, beta=beta, corruption_scale=scale, seed=seed, **kw)
@@ -50,25 +55,26 @@ def _problem(m=40, n=4, beta=Fraction(1, 10), scale=20.0, seed=5, **kw):
 class TestProjection:
     def test_lands_on_hyperplane(self):
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((6, 3))
+        dm = _unit(rng.standard_normal((6, 3)))
         b = rng.standard_normal(6)
         x = rng.standard_normal(3)
         rows = set()
         for seed in range(40):
-            trace = _one_step((a, b), "rk", seed, x)
+            trace = _one_step((dm, b), "rk", seed, x)
             i = int(trace.chosen_indices[0])
             rows.add(i)
-            assert abs(a[i] @ trace.final_x - b[i]) < 1e-12
+            assert abs(dm.data[i] @ trace.final_x - b[i]) < 1e-12
         assert rows == set(range(6))
 
     def test_orthogonal_move(self):
         # The step is along the row direction only.
-        a = np.array([[3.0, 4.0], [1.0, 0.0]])
-        b = np.array([10.0, 0.0])
+        dm = _unit(np.array([[3.0, 4.0], [1.0, 0.0]]))
+        a = dm.data
+        b = np.array([2.0, 0.0])
         x = np.array([2.0, -1.0])
         rows = set()
         for seed in range(40):
-            trace = _one_step((a, b), "rk", seed, x)
+            trace = _one_step((dm, b), "rk", seed, x)
             i = int(trace.chosen_indices[0])
             rows.add(i)
             move = trace.final_x - x
@@ -79,11 +85,11 @@ class TestProjection:
         # The same seed picks the same row, so the second step repeats the
         # first projection.
         rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 2))
+        dm = _unit(rng.standard_normal((4, 2)))
         b = rng.standard_normal(4)
         for seed in range(8):
-            t1 = _one_step((a, b), "rk", seed, np.zeros(2))
-            t2 = _one_step((a, b), "rk", seed, t1.final_x)
+            t1 = _one_step((dm, b), "rk", seed, np.zeros(2))
+            t2 = _one_step((dm, b), "rk", seed, t1.final_x)
             assert t2.chosen_indices[0] == t1.chosen_indices[0]
             np.testing.assert_allclose(t2.final_x, t1.final_x, atol=1e-15)
 
@@ -97,15 +103,6 @@ class TestStepSelection:
         expect = np.floor(_uniforms(3, 60) * 5).astype(np.int64)
         np.testing.assert_array_equal(trace.chosen_indices, expect)
         assert set(expect) == set(range(5))
-
-    def test_rk_weighted_by_row_norm_sq(self):
-        # Rows with |a_i|^2 = 1 and 4: cumsum (1, 5), so u < 1/5 picks row 0.
-        a = DenseMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        b = np.array([1.0, 2.0])
-        trace = run((a, b), SolverConfig(method="rk", iterations=60, seed=4))
-        expect = (_uniforms(4, 60) >= 0.2).astype(np.int64)
-        np.testing.assert_array_equal(trace.chosen_indices, expect)
-        assert set(expect) == {0, 1}
 
     def test_qrk_restricts_to_lower_set(self):
         prob = _problem()
@@ -163,25 +160,16 @@ class TestSelectInBand:
         m = data.draw(st.integers(2, 60))
         alphabet = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
         keys = np.array(data.draw(st.lists(alphabet, min_size=m, max_size=m)))
-        weights = st.sampled_from([0.25, 1.0, 4.0])
-        row_sq = np.array(data.draw(st.lists(weights, min_size=m, max_size=m)))
         k_hi = data.draw(st.integers(1, m))
         k_lo = data.draw(st.integers(0, k_hi - 1))
         order = np.argsort(keys, kind="stable")
-        band = order[k_lo:k_hi]
         width = k_hi - k_lo
-        cum = np.concatenate([[0.0], np.cumsum(row_sq[band])])
         for j in range(width):
-            for unit_rows, u, expect in (
-                (True, (j + 0.5) / width, order[k_lo + j]),
-                (False, (cum[j] + cum[j + 1]) / 2 / cum[-1], band[j]),
-            ):
-                rs = np.ones(m) if unit_rows else row_sq
-                i, q_lo, q_hi = _select_in_band(keys, k_lo, k_hi, rs, unit_rows, u)
-                assert i == expect
-                np.testing.assert_equal(q_hi, keys[order[k_hi - 1]])
-                if k_lo:
-                    np.testing.assert_equal(q_lo, keys[order[k_lo - 1]])
+            i, q_lo, q_hi = _select_in_band(keys, k_lo, k_hi, (j + 0.5) / width)
+            assert i == order[k_lo + j]
+            np.testing.assert_equal(q_hi, keys[order[k_hi - 1]])
+            if k_lo:
+                np.testing.assert_equal(q_lo, keys[order[k_lo - 1]])
 
 
 class TestRunTrace:
@@ -312,7 +300,7 @@ class TestRunTrace:
 
     def test_plain_tuple_has_no_errors(self):
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((12, 3))
+        a = _unit(rng.standard_normal((12, 3)))
         b = rng.standard_normal(12)
         trace = run((a, b), SolverConfig(method="rk", iterations=10))
         assert trace.sq_errors is None
@@ -446,7 +434,7 @@ class TestEarlyStop:
 
     def test_requires_known_solution(self):
         rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((10, 2)), rng.standard_normal(10)
+        a, b = _unit(rng.standard_normal((10, 2))), rng.standard_normal(10)
         with pytest.raises(InvalidSpecError):
             run((a, b), SolverConfig(method="rk", iterations=10, stop_below=1e-6))
 
@@ -481,20 +469,12 @@ def _assert_batch_matches_solo(problem, configs, rtol):
 
 @st.composite
 def _batches(draw):
-    """A small system, unit or not, 2-4 qrk/dqrk configs that differ in
-    seed, iterations, start and stop_below, and the residual path."""
+    """A small problem, 2-4 qrk/dqrk configs that differ in seed,
+    iterations, start and stop_below, and the residual path."""
     m, n = draw(st.sampled_from([20, 40])), draw(st.integers(2, 6))
     seed = draw(st.integers(0, 999))
-    unit = draw(st.booleans())
-    if unit:
-        noise = draw(st.sampled_from([0.01, 1.0]))
-        problem = _problem(
-            m=m, n=n, beta=Fraction(1, 10), scale=20.0, seed=seed, noise_stddev=noise
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0, (m, 1))
-        problem = (DenseMatrix(a), rng.standard_normal(m))
+    noise = draw(st.sampled_from([0.01, 1.0]))
+    problem = _problem(m=m, n=n, beta=Fraction(1, 10), scale=20.0, seed=seed, noise_stddev=noise)
     configs = []
     for _ in range(draw(st.integers(2, 4))):
         method = draw(st.sampled_from(["qrk", "dqrk"]))
@@ -506,7 +486,7 @@ def _batches(draw):
             iterations=draw(st.integers(1, 120)),
             seed=draw(st.integers(0, 999)),
             x0=np.full(n, draw(st.sampled_from([-1.0, 0.5]))) if x0 == "vector" else x0,
-            stop_below=draw(st.sampled_from([None, 0.5, 0.05])) if unit else None,
+            stop_below=draw(st.sampled_from([None, 0.5, 0.05])),
         ))
     return problem, configs, draw(st.booleans())
 
@@ -661,14 +641,29 @@ class TestConfigValidation:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal(20)
+        if defect == "inf_a":
+            # A non-finite A is refused as a DenseMatrix, before any run.
+            a[3, 1] = np.inf
+            with pytest.raises(ValueError, match=message):
+                DenseMatrix(a, row_normalized=True)
+            return
         if defect == "nan_b":
             b[7] = np.nan
-        elif defect == "inf_a":
-            a[3, 1] = np.inf
         else:
             b = b[:-1]
         with pytest.raises(ValueError, match=message):
-            run((a, b), SolverConfig(method=method, iterations=50, **levels))
+            run((_unit(a), b), SolverConfig(method=method, iterations=50, **levels))
+
+    @pytest.mark.parametrize("system", ["ndarray", "not_normalized"])
+    def test_rows_must_be_unit(self, system):
+        # The solvers take unit rows only; any other A is refused, with a
+        # pointer to the normalizer, even when its rows happen to be unit.
+        a = np.eye(4)
+        problem = (a if system == "ndarray" else DenseMatrix(a), np.ones(4))
+        with pytest.raises(ValueError, match="row_normalize"):
+            run(problem, SolverConfig(method="rk", iterations=5))
+        with pytest.raises(ValueError, match="row_normalize"):
+            run_batch(problem, [SolverConfig(method="qrk", q=Fraction(1, 2), iterations=5)])
 
     def test_empty_band_rejected_at_run(self):
         prob = _problem()
