@@ -52,6 +52,7 @@ from .linalg import (
     singular_extremes,
 )
 from .problems import CorruptedProblem, ordered_magnitude
+from .serialize import to_plain
 from .solvers import InvalidRegimeError
 
 __all__ = [
@@ -232,13 +233,7 @@ class BoundRecord:
 
     def to_dict(self) -> dict:
         verdict = {True: "true", False: "false", None: "unknown"}
-        return {
-            "name": self.name,
-            "values": dict(self.values),
-            "condition_satisfied": verdict[self.condition_satisfied],
-            "condition_mode": self.condition_mode,
-            "flags": dict(self.flags),
-        }
+        return {**to_plain(self), "condition_satisfied": verdict[self.condition_satisfied]}
 
 
 def _agree(rewritten: float, raw: float, scale: float, what: str) -> None:
@@ -693,40 +688,10 @@ class BoundReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        sq = self.summary.sigma_q_beta_min
-        sq0 = self.summary.sigma_q0_beta_min
         return {
             "schema_version": 1,
-            "params": {
-                "beta": str(self.params.beta),
-                "q": str(self.params.q),
-                "q0": None if self.params.q0 is None else str(self.params.q0),
-                "p": str(self.params.p),
-                "r": str(self.params.r),
-            },
-            "spectral": {
-                "m": self.summary.m,
-                "n": self.summary.n,
-                "sigma_max": self.summary.sigma_max,
-                "sigma_min": self.summary.sigma_min,
-                "frobenius_sq": self.summary.frobenius_sq,
-                "sigma_q_beta_min": None
-                if sq is None
-                else {
-                    "value": sq.value,
-                    "mode": sq.mode,
-                    "subsets_examined": sq.subsets_examined,
-                    "is_upper_bound_only": sq.is_upper_bound_only,
-                },
-                "sigma_q0_beta_min": None
-                if sq0 is None
-                else {
-                    "value": sq0.value,
-                    "mode": sq0.mode,
-                    "subsets_examined": sq0.subsets_examined,
-                    "is_upper_bound_only": sq0.is_upper_bound_only,
-                },
-            },
+            "params": to_plain(self.params),
+            "spectral": to_plain(self.summary),
             "records": [rec.to_dict() for rec in self.records],
         }
 

@@ -33,7 +33,6 @@ from .experiments import (
     ExperimentSpec,
     desk_profile,
     emit,
-    load_result,
     paper_profile,
     run_experiment,
 )
@@ -60,7 +59,9 @@ from .serialize import (
     save_problem,
     save_trace_csv,
     sha256_file,
-    spec_from_dict,
+    from_plain,
+    to_plain,
+    write_json,
 )
 from .solvers import InvalidRegimeError, SolverConfig, _gram_pays, run
 
@@ -125,6 +126,7 @@ class Opt:
     default: object = None
     required: bool = False
     help: str = ""
+    field: str = ""  # the GenSpec or ExperimentSpec field the flag sets
 
 
 def _conv_bool(s: str) -> bool:
@@ -239,12 +241,6 @@ def _manifest(
     return doc
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _checksums(paths: list[Path], base: Path) -> dict[str, str]:
     return {str(p.relative_to(base)): sha256_file(p) for p in sorted(paths)}
 
@@ -253,14 +249,16 @@ def _checksums(paths: list[Path], base: Path) -> dict[str, str]:
 
 
 _GEN_OPTS = [
-    Opt("m", int, required=True, help="rows"),
-    Opt("n", int, required=True, help="columns"),
-    Opt("beta", as_level, default=Fraction(0), help="corrupted fraction"),
-    Opt("scale", float, default=0.0, help="corruption magnitude"),
-    Opt("noise", float, default=1.0, help="noise stddev"),
-    Opt("ensemble", str, default="gaussian", help="gaussian|uniform"),
-    Opt("disjoint", _conv_bool, default=False, help="corruption rows get no noise"),
-    Opt("signed", _conv_bool, default=False, help="random corruption signs"),
+    Opt("m", int, required=True, field="m", help="rows"),
+    Opt("n", int, required=True, field="n", help="columns"),
+    Opt("beta", as_level, default=Fraction(0), field="beta", help="corrupted fraction"),
+    Opt("scale", float, default=0.0, field="corruption_scale", help="corruption magnitude"),
+    Opt("noise", float, default=1.0, field="noise_stddev", help="noise stddev"),
+    Opt("ensemble", str, default="gaussian", field="ensemble", help="gaussian|uniform"),
+    Opt("disjoint", _conv_bool, default=False, field="disjoint_support",
+        help="corruption rows get no noise"),
+    Opt("signed", _conv_bool, default=False, field="signed_corruption",
+        help="random corruption signs"),
     Opt("seed", int, default=0),
     Opt("out", str, required=True, help="output directory"),
 ]
@@ -270,33 +268,15 @@ def cmd_gen(ns: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     opt = resolve_opts(ns, _GEN_OPTS)
     snaps: dict = {}
-    beta = _snap("beta", opt["beta"], opt["m"], snaps)
-    spec = GenSpec(
-        m=opt["m"],
-        n=opt["n"],
-        beta=beta,
-        corruption_scale=opt["scale"],
-        noise_stddev=opt["noise"],
-        ensemble=opt["ensemble"],
-        disjoint_support=opt["disjoint"],
-        signed_corruption=opt["signed"],
-        seed=opt["seed"],
-    )
+    values = {o.field: opt[o.name] for o in _GEN_OPTS if o.field}
+    values["beta"] = _snap("beta", opt["beta"], opt["m"], snaps)
+    spec = GenSpec(**values, seed=opt["seed"])
     problem = generate(spec)
     out = Path(opt["out"])
     run_doc = _manifest(
         "gen",
         argv,
-        {
-            "m": spec.m,
-            "n": spec.n,
-            "beta": str(spec.beta),
-            "scale": spec.corruption_scale,
-            "noise": spec.noise_stddev,
-            "ensemble": spec.ensemble,
-            "disjoint": spec.disjoint_support,
-            "signed": spec.signed_corruption,
-        },
+        {o.name: to_plain(getattr(spec, o.field)) for o in _GEN_OPTS if o.field},
         {"seed": spec.seed},
         {},
         snapped=snaps,
@@ -357,7 +337,7 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
         snapped=snaps,
         wall_clock=time.perf_counter() - t0,
     )
-    _write_json(manifest_path, doc)
+    write_json(manifest_path, doc)
     return 0
 
 
@@ -381,7 +361,7 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
     if beta is None:
         spec_doc = bundle.get("spec")
         beta = (
-            Fraction(spec_doc["beta"])
+            from_plain(GenSpec, spec_doc).beta
             if spec_doc is not None
             else problem.minimal_beta()
         )
@@ -403,7 +383,7 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
     report = build_report(summary, params, eta_inf=eta_inf, epsilon=epsilon)
     out = Path(opt["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, report.to_dict())
+    write_json(out, report.to_dict())
     doc = _manifest(
         "bounds",
         argv,
@@ -419,43 +399,28 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
         snapped=snaps,
         wall_clock=time.perf_counter() - t0,
     )
-    _write_json(out.with_suffix(".manifest.json"), doc)
+    write_json(out.with_suffix(".manifest.json"), doc)
     return 0
 
 
 _EXPERIMENT_OPTS = [
-    Opt("m", int),
-    Opt("n", int),
-    Opt("beta", as_level),
-    Opt("q", as_level),
-    Opt("q0", as_level),
-    Opt("iters", int),
-    Opt("trials", int),
-    Opt("scales", _conv_float_list, help="comma-separated corruption scales"),
-    Opt("ensembles", _conv_list, help="comma-separated subset of gaussian,uniform"),
-    Opt("methods", _conv_list, help="comma-separated subset of rk,qrk,dqrk"),
-    Opt("scale", float, help="fig2 corruption magnitude"),
-    Opt("noise", float, help="noise stddev"),
-    Opt("window", int, help="horizon window"),
+    Opt("m", int, field="m"),
+    Opt("n", int, field="n"),
+    Opt("beta", as_level, field="beta"),
+    Opt("q", as_level, field="q"),
+    Opt("q0", as_level, field="q0"),
+    Opt("iters", int, field="iterations"),
+    Opt("trials", int, field="trials"),
+    Opt("scales", _conv_float_list, field="scales", help="comma-separated corruption scales"),
+    Opt("ensembles", _conv_list, field="ensembles",
+        help="comma-separated subset of gaussian,uniform"),
+    Opt("methods", _conv_list, field="methods", help="comma-separated subset of rk,qrk,dqrk"),
+    Opt("scale", float, field="corruption_scale", help="fig2 corruption magnitude"),
+    Opt("noise", float, field="noise_stddev", help="noise stddev"),
+    Opt("window", int, field="horizon_window", help="horizon window"),
     Opt("seed", int, default=0),
     Opt("out", str, required=True, help="output directory"),
 ]
-
-_EXPERIMENT_FIELD_MAP = {
-    "m": "m",
-    "n": "n",
-    "beta": "beta",
-    "q": "q",
-    "q0": "q0",
-    "iters": "iterations",
-    "trials": "trials",
-    "scales": "scales",
-    "ensembles": "ensembles",
-    "methods": "methods",
-    "scale": "corruption_scale",
-    "noise": "noise_stddev",
-    "window": "horizon_window",
-}
 
 
 def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
@@ -467,9 +432,9 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
     profile = "paper" if ns.paper else "desk"
     factory = paper_profile if ns.paper else desk_profile
     overrides = {
-        field: opt[key]
-        for key, field in _EXPERIMENT_FIELD_MAP.items()
-        if opt[key] is not None
+        o.field: opt[o.name]
+        for o in _EXPERIMENT_OPTS
+        if o.field and opt[o.name] is not None
     }
     # find m first so levels can be snapped against it
     probe = factory(figure, seed=opt["seed"])
@@ -490,13 +455,13 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
     doc = _manifest(
         "experiment",
         argv,
-        {"figure": figure, "profile": profile, **spec.to_dict()},
+        {"figure": figure, "profile": profile, **to_plain(spec)},
         {"seed": spec.seed},
         _checksums(written, out),
         snapped=snaps,
         wall_clock=time.perf_counter() - t0,
     )
-    _write_json(out / "manifest.json", doc)
+    write_json(out / "manifest.json", doc)
     return 0
 
 
@@ -534,7 +499,7 @@ def _verify_problem(directory: Path) -> None:
     # the file block by block, so one copy of A is alive at a time.
     stored = {name: getattr(problem, name) for name in VECTOR_NAMES}
     del problem
-    regen = generate(spec_from_dict(spec_doc))
+    regen = generate(from_plain(GenSpec, spec_doc))
     if not matrix_file_equals(problem_files(directory)["matrix"], regen.system):
         raise VerificationError("matrix does not reproduce bit-identically from its spec")
     for name in VECTOR_NAMES:
@@ -551,9 +516,16 @@ def _verify_experiment(directory: Path) -> None:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     _verify_checksums(directory, manifest.get("outputs", {}))
+    doc = json.loads((directory / "result.json").read_text(encoding="utf-8"))
+    spec = from_plain(ExperimentSpec, doc.get("spec"))
+    # A key the stored spec lacks, or writes in another form, would re-run
+    # as what it reads back as (a default, say), so name it here.
+    differ = [k for k, v in to_plain(spec).items() if doc["spec"].get(k) != v]
+    if differ:
+        raise VerificationError(f"result.json spec does not read back as written at {differ}")
     # Re-run the stored spec: re-emitting the stored result alone would
     # accept a result.json edited together with its checksums.
-    result = run_experiment(load_result(directory / "result.json").spec)
+    result = run_experiment(spec)
     with tempfile.TemporaryDirectory() as tmp:
         for path in emit(result, tmp):
             stored = directory / path.name

@@ -34,7 +34,7 @@ from .problems import (
     generate,
     ordered_magnitude,
 )
-from .serialize import fmt_float
+from .serialize import fmt_float, from_plain, to_plain
 from .solvers import DEFAULT_HORIZON_WINDOW, SolverConfig, horizon_estimate, run, run_batch
 from . import svgplot
 
@@ -115,7 +115,7 @@ class ExperimentSpec:
                 raise InvalidSpecError("fig3 requires a nonempty scale grid")
             if len(self.ensembles) != 1:
                 raise InvalidSpecError("fig3 takes exactly one ensemble")
-            object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
+        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if self.iterations < 1:
             raise InvalidSpecError("iterations must be positive")
         if not 1 <= self.horizon_window <= self.iterations + 1:
@@ -129,45 +129,6 @@ class ExperimentSpec:
             )
         if self.noise_stddev < 0 or self.corruption_scale < 0:
             raise InvalidSpecError("scales must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "figure": self.figure,
-            "m": self.m,
-            "n": self.n,
-            "beta": str(self.beta),
-            "q": str(self.q),
-            "q0": str(self.q0),
-            "ensembles": list(self.ensembles),
-            "methods": list(self.methods),
-            "iterations": self.iterations,
-            "trials": self.trials,
-            "scales": list(self.scales),
-            "corruption_scale": self.corruption_scale,
-            "noise_stddev": self.noise_stddev,
-            "horizon_window": self.horizon_window,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentSpec":
-        return ExperimentSpec(
-            figure=d["figure"],
-            m=d["m"],
-            n=d["n"],
-            beta=Fraction(d["beta"]),
-            q=Fraction(d["q"]),
-            q0=Fraction(d["q0"]),
-            ensembles=tuple(d["ensembles"]),
-            methods=tuple(d["methods"]),
-            iterations=d["iterations"],
-            trials=d["trials"],
-            scales=tuple(d["scales"]),
-            corruption_scale=d["corruption_scale"],
-            noise_stddev=d["noise_stddev"],
-            horizon_window=d["horizon_window"],
-            seed=d["seed"],
-        )
 
 
 def desk_profile(figure: str, *, seed: int = 0, **overrides) -> ExperimentSpec:
@@ -208,34 +169,17 @@ class ExperimentResult:
     wall_clock: float = 0.0
 
     def to_dict(self) -> dict:
-        out: dict = {"schema_version": 1, "spec": self.spec.to_dict()}
+        out: dict = {"schema_version": 1, "spec": to_plain(self.spec)}
         if self.curves is not None:
-            out["curves"] = {
-                ens: {
-                    meth: np.asarray(arr, dtype=np.float64).tolist()
-                    for meth, arr in per.items()
-                }
-                for ens, per in self.curves.items()
-            }
-            out["horizons"] = {
-                ens: dict(per) for ens, per in (self.horizons or {}).items()
-            }
+            out["curves"] = to_plain(self.curves)
+            out["horizons"] = to_plain(self.horizons or {})
         if self.points is not None:
-            out["points"] = [
-                {
-                    "scale": p.scale,
-                    "trial": p.trial,
-                    "method": p.method,
-                    "ratio": p.ratio,
-                    "horizon": p.horizon,
-                }
-                for p in self.points
-            ]
+            out["points"] = to_plain(self.points)
         return out
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentResult":
-        spec = ExperimentSpec.from_dict(d["spec"])
+        spec = from_plain(ExperimentSpec, d.get("spec"))
         curves = horizons = points = None
         if "curves" in d:
             curves = {
@@ -244,16 +188,7 @@ class ExperimentResult:
             }
             horizons = {ens: dict(per) for ens, per in d.get("horizons", {}).items()}
         if "points" in d:
-            points = tuple(
-                Fig3Point(
-                    scale=p["scale"],
-                    trial=p["trial"],
-                    method=p["method"],
-                    ratio=p["ratio"],
-                    horizon=p["horizon"],
-                )
-                for p in d["points"]
-            )
+            points = tuple(from_plain(Fig3Point, p) for p in d["points"])
         return ExperimentResult(spec=spec, curves=curves, horizons=horizons, points=points)
 
 

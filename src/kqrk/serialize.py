@@ -15,6 +15,11 @@ which round-trips every float64 exactly.  A problem bundle is a directory
 holding the matrix container, one single-column CSV per vector, and a
 JSON manifest with the generating spec, the pre-normalization row norms,
 and SHA-256 checksums of every data file.
+
+A record stored as JSON (a spec, a scatter point, the parameter and
+singular-value blocks of a bounds report) is its dataclass fields, one
+key per field: ``to_plain`` writes them and ``from_plain`` reads them
+back, with levels as exact fraction strings.
 """
 from __future__ import annotations
 
@@ -24,6 +29,8 @@ import json
 import os
 import struct
 import sys
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +54,9 @@ __all__ = [
     "load_problem",
     "problem_files",
     "save_trace_csv",
+    "to_plain",
+    "from_plain",
+    "write_json",
 ]
 
 MAGIC = b"KQRK"
@@ -149,7 +159,11 @@ def load_vector_csv(path: str | Path) -> np.ndarray:
         header = next(reader, None)
         if header is None:
             raise ContainerFormatError(f"{path}: empty vector file")
-        return np.array([float(row[0]) for row in reader if row], dtype=np.float64)
+        try:
+            return np.array([float(row[0]) for row in reader if row], dtype=np.float64)
+        except ValueError as exc:
+            # the reader is lazy, so line_num is the line that failed
+            raise ContainerFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def sha256_file(path: str | Path) -> str:
@@ -161,35 +175,75 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def spec_to_dict(spec: GenSpec) -> dict:
-    return {
-        "m": spec.m,
-        "n": spec.n,
-        "beta": str(spec.beta),
-        "corruption_scale": spec.corruption_scale,
-        "noise_stddev": spec.noise_stddev,
-        "ensemble": spec.ensemble,
-        "disjoint_support": spec.disjoint_support,
-        "signed_corruption": spec.signed_corruption,
-        "seed": spec.seed,
-    }
+def to_plain(obj):
+    """A record as JSON-ready data: a dataclass becomes a dict of its fields.
+
+    A Fraction becomes its exact string, a tuple a list, and an ndarray
+    a list through one ``tolist`` call; dicts and lists are walked, and
+    anything else is returned as it is.
+    """
+    if is_dataclass(obj):
+        return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_plain(v) for k, v in obj.items()}
+    return obj
 
 
-def spec_from_dict(payload: dict) -> GenSpec:
+# The JSON values a scalar field accepts.  Other fields are left to the
+# constructor, which reads a level from its fraction string and makes a
+# list a tuple.
+_JSON_SCALARS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+    bool: lambda v: isinstance(v, bool),
+}
+
+
+def from_plain(cls, payload):
+    """The dataclass ``cls`` from a dict written by :func:`to_plain`.
+
+    An absent key takes the field's default.  A missing required key, an
+    unknown key, a scalar of the wrong JSON type, or a TypeError or
+    ValueError from the constructor raises InvalidSpecError naming the
+    class.
+    """
+    name = cls.__name__
+    if not isinstance(payload, dict):
+        raise InvalidSpecError(f"{name}: expected an object, got {payload!r}")
+    hints = typing.get_type_hints(cls)
+    known = fields(cls)
+    unknown = sorted(set(payload) - {f.name for f in known})
+    if unknown:
+        raise InvalidSpecError(f"{name}: unknown key {unknown[0]!r}")
+    for f in known:
+        if f.name not in payload:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise InvalidSpecError(f"{name}: missing key {f.name!r}")
+            continue
+        fits = _JSON_SCALARS.get(hints[f.name])
+        if fits and not fits(payload[f.name]):
+            raise InvalidSpecError(
+                f"{name}: key {f.name!r} must be {hints[f.name].__name__}, "
+                f"got {payload[f.name]!r}"
+            )
     try:
-        return GenSpec(
-            m=int(payload["m"]),
-            n=int(payload["n"]),
-            beta=Fraction(payload["beta"]),
-            corruption_scale=float(payload["corruption_scale"]),
-            noise_stddev=float(payload["noise_stddev"]),
-            ensemble=str(payload["ensemble"]),
-            disjoint_support=bool(payload["disjoint_support"]),
-            signed_corruption=bool(payload.get("signed_corruption", False)),
-            seed=int(payload["seed"]),
-        )
-    except KeyError as exc:
-        raise InvalidSpecError(f"manifest spec missing field {exc}") from exc
+        return cls(**payload)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"{name}: {exc}") from exc
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as JSON: indent 2, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def problem_files(directory: str | Path) -> dict[str, Path]:
@@ -218,17 +272,13 @@ def save_problem(
     manifest = {
         "schema_version": 1,
         "kind": "problem",
-        "spec": spec_to_dict(spec) if spec is not None else None,
-        "norms": None
-        if problem.row_norms is None
-        else [float(v) for v in problem.row_norms],
+        "spec": to_plain(spec),
+        "norms": to_plain(problem.row_norms),
         "checksums": checksums,
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    with open(base / MANIFEST_FILENAME, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(base / MANIFEST_FILENAME, manifest)
     return manifest
 
 
@@ -237,8 +287,12 @@ def load_problem(directory: str | Path) -> tuple[CorruptedProblem, dict]:
     manifest_path = base / MANIFEST_FILENAME
     if not manifest_path.is_file():
         raise ContainerFormatError(f"{base}: no {MANIFEST_FILENAME}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ContainerFormatError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ContainerFormatError(f"{manifest_path}: not a JSON object")
     files = problem_files(base)
     system = load_matrix(files["matrix"])
     vectors = {name: load_vector_csv(files[name]) for name in VECTOR_NAMES}

@@ -109,6 +109,31 @@ class TestGenVerify:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "name,text,fault",
+        [
+            ("b.csv", "b\n0.5\nfour\n", "b.csv:3: could not convert"),
+            ("manifest.json", "{not json", "manifest.json: not valid JSON"),
+        ],
+    )
+    def test_malformed_bundle_file(self, tmp_path, capsys, name, text, fault):
+        # a validation error (exit 2) to the commands that read the bundle,
+        # a failed verification (exit 1) to verify
+        bundle = _gen(tmp_path)
+        (bundle / name).write_text(text)
+        capsys.readouterr()
+        for argv in (
+            ["solve", "--problem", str(bundle), "--method", "rk",
+             "--trace", str(tmp_path / "t.csv")],
+            ["bounds", "--problem", str(bundle), "--q", "1/2", "--out", str(tmp_path / "r.json")],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and fault in err
+        assert main(["verify", "--problem", str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ") and fault in err
+
 
 class TestSolve:
     def test_trace_and_manifest(self, tmp_path):
@@ -385,6 +410,22 @@ class TestExperiment:
         capsys.readouterr()
         assert main(["verify", "--experiment", str(out)]) == 1
         assert "does not reproduce" in capsys.readouterr().err
+
+    def test_spec_missing_a_field_fails_verification(self, tmp_path, capsys):
+        # A spec without "trials" reads back with the default, which is not
+        # what the run used, so verify names the key instead of re-running.
+        out = tmp_path / "exp"
+        assert main(["experiment", "fig2", *self.ARGS, "--out", str(out)]) == 0
+        doc = json.loads((out / "result.json").read_text())
+        del doc["spec"]["trials"]
+        (out / "result.json").write_text(json.dumps(doc))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"]["result.json"] = sha256_file(out / "result.json")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["verify", "--experiment", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ") and "'trials'" in err
 
     def test_missing_output_fails_verification(self, tmp_path):
         out = tmp_path / "exp"

@@ -10,6 +10,7 @@ import pytest
 from kqrk.experiments import (
     ExperimentResult,
     ExperimentSpec,
+    Fig3Point,
     _identifiability_ratio,
     _write_curve_csvs,
     _write_result_json,
@@ -22,6 +23,7 @@ from kqrk.experiments import (
 )
 from kqrk.linalg import NonIntegerQuantileError
 from kqrk.problems import GenSpec, InvalidSpecError, generate
+from kqrk.serialize import from_plain, to_plain
 
 SMALL = dict(
     m=40,
@@ -52,8 +54,16 @@ class TestSpec:
         assert spec.methods == ("rk", "dqrk")
 
     def test_round_trip(self):
-        spec = _spec("fig3", trials=3, scales=(1.0, 3.0), methods=("dqrk",))
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        records = [
+            _spec("fig3", trials=3, scales=(1.0, 3.0), methods=("dqrk",)),
+            _spec("fig1"),
+            _spec("fig2", scales=[1, 3], ensembles=["uniform"], corruption_scale=30.0),
+            _spec("fig3", trials=2, scales=(1.0, 10.0), horizon_window=20),
+            Fig3Point(scale=10.0, trial=1, method="dqrk", ratio=np.inf, horizon=0.25),
+        ]
+        for record in records:
+            text = json.dumps(to_plain(record), sort_keys=True)
+            assert from_plain(type(record), json.loads(text)) == record
 
     def test_profiles(self):
         desk = desk_profile("fig1")

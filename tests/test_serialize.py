@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kqrk.experiments import ExperimentSpec
 from kqrk.linalg import DenseMatrix, row_normalize
-from kqrk.problems import GenSpec, generate
+from kqrk.problems import GenSpec, InvalidSpecError, generate
 from kqrk.serialize import (
     ContainerFormatError,
     MATRIX_FILENAME,
@@ -24,9 +25,9 @@ from kqrk.serialize import (
     save_problem,
     save_trace_csv,
     save_vector_csv,
+    from_plain,
     sha256_file,
-    spec_from_dict,
-    spec_to_dict,
+    to_plain,
 )
 from kqrk.solvers import SolverConfig, run
 
@@ -158,6 +159,12 @@ class TestVectorCsv:
         np.testing.assert_array_equal(back, v)
         assert path.read_text().splitlines()[0] == "b"
 
+    def test_non_numeric_entry_names_file_and_line(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("b\n1.5\n\n2.5e3\nabc\n4\n")
+        with pytest.raises(ContainerFormatError, match=r"v\.csv:5: .*'abc'"):
+            load_vector_csv(path)
+
 
 class TestProblemBundle:
     def test_round_trip(self, tmp_path):
@@ -169,7 +176,7 @@ class TestProblemBundle:
         for name in ("x_star", "b_t", "eta", "xi", "b"):
             np.testing.assert_array_equal(getattr(back, name), getattr(prob, name))
         assert manifest["kind"] == "problem"
-        assert spec_from_dict(manifest["spec"]) == spec
+        assert from_plain(GenSpec, manifest["spec"]) == spec
 
     def test_manifest_checksums_match(self, tmp_path):
         spec = GenSpec(m=10, n=2, seed=0)
@@ -180,16 +187,60 @@ class TestProblemBundle:
         assert MATRIX_FILENAME in manifest["checksums"]
 
     def test_spec_dict_round_trip(self):
-        spec = GenSpec(
-            m=12, n=3, beta=Fraction(1, 4), corruption_scale=5.0,
-            noise_stddev=0.5, ensemble="uniform", disjoint_support=True,
-            signed_corruption=True, seed=42,
-        )
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        specs = [
+            GenSpec(
+                m=12, n=3, beta=Fraction(1, 4), corruption_scale=5.0,
+                noise_stddev=0.5, ensemble="uniform", disjoint_support=True,
+                signed_corruption=True, seed=42,
+            ),
+            GenSpec(m=12, n=3, beta=0.25, signed_corruption=True),
+            GenSpec(m=12, n=3, disjoint_support=True),
+            GenSpec(m=5, n=5),
+        ]
+        for spec in specs:
+            doc = json.loads(json.dumps(to_plain(spec)))
+            assert doc["beta"] == str(spec.beta)
+            assert from_plain(GenSpec, doc) == spec
+        # an absent key takes the field's default
+        assert from_plain(GenSpec, {"m": 5, "n": 5}) == GenSpec(m=5, n=5)
+
+    @pytest.mark.parametrize(
+        "cls,payload,message",
+        [
+            (GenSpec, {"n": 3}, "GenSpec: missing key 'm'"),
+            (GenSpec, {"m": 12, "n": 3, "sede": 4}, "GenSpec: unknown key 'sede'"),
+            (GenSpec, {"m": "forty", "n": 3}, "GenSpec: key 'm' must be int, got 'forty'"),
+            (GenSpec, {"m": 12, "n": 3, "signed_corruption": "yes"},
+             "GenSpec: key 'signed_corruption' must be bool"),
+            (GenSpec, {"m": 12, "n": 3, "beta": "one"}, "GenSpec: --beta: Invalid literal"),
+            (GenSpec, {"m": 2, "n": 3}, "GenSpec: need m >= n >= 1"),
+            (GenSpec, ["m", 12], "GenSpec: expected an object"),
+            (ExperimentSpec, {"m": 40}, "ExperimentSpec: missing key 'figure'"),
+            (ExperimentSpec, {"figure": "fig1", "m": "forty"},
+             "ExperimentSpec: key 'm' must be int, got 'forty'"),
+            (ExperimentSpec, {"figure": "fig1", "iters": 5}, "unknown key 'iters'"),
+            (ExperimentSpec, {"figure": "fig1", "scales": ["x"]}, "ExperimentSpec: could not"),
+        ],
+        ids=[
+            "missing", "unknown", "m_forty", "bool_text", "bad_level", "constructor",
+            "not_object", "exp_missing", "exp_m_forty", "exp_unknown", "exp_bad_scale",
+        ],
+    )
+    def test_malformed_record_rejected(self, cls, payload, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            from_plain(cls, payload)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ContainerFormatError):
             load_problem(tmp_path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\udcff"])
+    def test_unparsable_manifest(self, tmp_path, text):
+        spec = GenSpec(m=10, n=2, seed=0)
+        save_problem(tmp_path / "p", generate(spec), spec)
+        (tmp_path / "p" / "manifest.json").write_text(text, errors="surrogateescape")
+        with pytest.raises(ContainerFormatError, match="manifest.json"):
+            load_problem(tmp_path / "p")
 
 
 class TestTraceCsv:
