@@ -518,11 +518,6 @@ def _verify_experiment(directory: Path) -> None:
     _verify_checksums(directory, manifest.get("outputs", {}))
     doc = json.loads((directory / "result.json").read_text(encoding="utf-8"))
     spec = from_plain(ExperimentSpec, doc.get("spec"))
-    # A key the stored spec lacks, or writes in another form, would re-run
-    # as what it reads back as (a default, say), so name it here.
-    differ = [k for k, v in to_plain(spec).items() if doc["spec"].get(k) != v]
-    if differ:
-        raise VerificationError(f"result.json spec does not read back as written at {differ}")
     # Re-run the stored spec: re-emitting the stored result alone would
     # accept a result.json edited together with its checksums.
     result = run_experiment(spec)

@@ -30,7 +30,7 @@ import os
 import struct
 import sys
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -209,10 +209,11 @@ _JSON_SCALARS = {
 def from_plain(cls, payload):
     """The dataclass ``cls`` from a dict written by :func:`to_plain`.
 
-    An absent key takes the field's default.  A missing required key, an
-    unknown key, a scalar of the wrong JSON type, or a TypeError or
-    ValueError from the constructor raises InvalidSpecError naming the
-    class.
+    Every field must be present, as :func:`to_plain` writes them all: a
+    record read from a file that lacks one is damaged, not short.  A
+    missing key, an unknown key, a scalar of the wrong JSON type, or a
+    TypeError or ValueError from the constructor raises InvalidSpecError
+    naming the class.
     """
     name = cls.__name__
     if not isinstance(payload, dict):
@@ -224,9 +225,7 @@ def from_plain(cls, payload):
         raise InvalidSpecError(f"{name}: unknown key {unknown[0]!r}")
     for f in known:
         if f.name not in payload:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise InvalidSpecError(f"{name}: missing key {f.name!r}")
-            continue
+            raise InvalidSpecError(f"{name}: missing key {f.name!r}")
         fits = _JSON_SCALARS.get(hints[f.name])
         if fits and not fits(payload[f.name]):
             raise InvalidSpecError(

@@ -284,6 +284,25 @@ class TestBounds:
         assert man["subcommand"] == "bounds"
         assert "report.json" in man["outputs"]
 
+    @pytest.mark.parametrize("key", ["beta", "noise_stddev"])
+    def test_manifest_spec_missing_a_field_is_rejected(self, tmp_path, capsys, key):
+        # bounds would certify, and verify regenerate, at the field's
+        # default rather than the value the bundle was made with
+        bundle = _gen(tmp_path, m=12, n=2, beta="1/12", scale="20")
+        doc = json.loads((bundle / "manifest.json").read_text())
+        del doc["spec"][key]
+        (bundle / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["bounds", "--problem", str(bundle), "--q", "1/2", "--q0", "1/4",
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert f"GenSpec: missing key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        assert main(["verify", "--problem", str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ")
+        assert f"GenSpec: missing key '{key}'" in err
+
     def test_sampled_mode(self, tmp_path):
         bundle = _gen(tmp_path, m=30, n=3, beta="1/30", scale="20")
         out = tmp_path / "report.json"
@@ -412,8 +431,8 @@ class TestExperiment:
         assert "does not reproduce" in capsys.readouterr().err
 
     def test_spec_missing_a_field_fails_verification(self, tmp_path, capsys):
-        # A spec without "trials" reads back with the default, which is not
-        # what the run used, so verify names the key instead of re-running.
+        # A spec without "trials" is damaged: verify names the key instead
+        # of re-running at the field's default.
         out = tmp_path / "exp"
         assert main(["experiment", "fig2", *self.ARGS, "--out", str(out)]) == 0
         doc = json.loads((out / "result.json").read_text())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqrk.experiments import ExperimentSpec
+from kqrk.experiments import ExperimentSpec, desk_profile
 from kqrk.linalg import DenseMatrix, row_normalize
 from kqrk.problems import GenSpec, InvalidSpecError, generate
 from kqrk.serialize import (
@@ -30,6 +30,11 @@ from kqrk.serialize import (
     to_plain,
 )
 from kqrk.solvers import SolverConfig, run
+
+
+# complete records, for the malformed-record cases to edit one key of
+_GEN = to_plain(GenSpec(m=12, n=3))
+_EXP = to_plain(desk_profile("fig1"))
 
 
 class TestFloatFormat:
@@ -201,29 +206,32 @@ class TestProblemBundle:
             doc = json.loads(json.dumps(to_plain(spec)))
             assert doc["beta"] == str(spec.beta)
             assert from_plain(GenSpec, doc) == spec
-        # an absent key takes the field's default
-        assert from_plain(GenSpec, {"m": 5, "n": 5}) == GenSpec(m=5, n=5)
 
     @pytest.mark.parametrize(
         "cls,payload,message",
         [
-            (GenSpec, {"n": 3}, "GenSpec: missing key 'm'"),
-            (GenSpec, {"m": 12, "n": 3, "sede": 4}, "GenSpec: unknown key 'sede'"),
-            (GenSpec, {"m": "forty", "n": 3}, "GenSpec: key 'm' must be int, got 'forty'"),
-            (GenSpec, {"m": 12, "n": 3, "signed_corruption": "yes"},
+            (GenSpec, {k: v for k, v in _GEN.items() if k != "m"},
+             "GenSpec: missing key 'm'"),
+            (GenSpec, {k: v for k, v in _GEN.items() if k != "signed_corruption"},
+             "GenSpec: missing key 'signed_corruption'"),
+            (GenSpec, {**_GEN, "sede": 4}, "GenSpec: unknown key 'sede'"),
+            (GenSpec, {**_GEN, "m": "forty"}, "GenSpec: key 'm' must be int, got 'forty'"),
+            (GenSpec, {**_GEN, "signed_corruption": "yes"},
              "GenSpec: key 'signed_corruption' must be bool"),
-            (GenSpec, {"m": 12, "n": 3, "beta": "one"}, "GenSpec: --beta: Invalid literal"),
-            (GenSpec, {"m": 2, "n": 3}, "GenSpec: need m >= n >= 1"),
+            (GenSpec, {**_GEN, "beta": "one"}, "GenSpec: --beta: Invalid literal"),
+            (GenSpec, {**_GEN, "m": 2}, "GenSpec: need m >= n >= 1"),
             (GenSpec, ["m", 12], "GenSpec: expected an object"),
-            (ExperimentSpec, {"m": 40}, "ExperimentSpec: missing key 'figure'"),
-            (ExperimentSpec, {"figure": "fig1", "m": "forty"},
+            (ExperimentSpec, {k: v for k, v in _EXP.items() if k != "figure"},
+             "ExperimentSpec: missing key 'figure'"),
+            (ExperimentSpec, {**_EXP, "m": "forty"},
              "ExperimentSpec: key 'm' must be int, got 'forty'"),
-            (ExperimentSpec, {"figure": "fig1", "iters": 5}, "unknown key 'iters'"),
-            (ExperimentSpec, {"figure": "fig1", "scales": ["x"]}, "ExperimentSpec: could not"),
+            (ExperimentSpec, {**_EXP, "iters": 5}, "unknown key 'iters'"),
+            (ExperimentSpec, {**_EXP, "scales": ["x"]}, "ExperimentSpec: could not"),
         ],
         ids=[
-            "missing", "unknown", "m_forty", "bool_text", "bad_level", "constructor",
-            "not_object", "exp_missing", "exp_m_forty", "exp_unknown", "exp_bad_scale",
+            "missing", "missing_default", "unknown", "m_forty", "bool_text",
+            "bad_level", "constructor", "not_object", "exp_missing", "exp_m_forty",
+            "exp_unknown", "exp_bad_scale",
         ],
     )
     def test_malformed_record_rejected(self, cls, payload, message):
