@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import tempfile
 import time
@@ -56,6 +55,7 @@ from .serialize import (
     load_problem,
     matrix_file_equals,
     problem_files,
+    read_json,
     save_problem,
     save_trace_csv,
     sha256_file,
@@ -513,10 +513,9 @@ def _verify_experiment(directory: Path) -> None:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise VerificationError(f"{directory}: no manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     _verify_checksums(directory, manifest.get("outputs", {}))
-    doc = json.loads((directory / "result.json").read_text(encoding="utf-8"))
+    doc = read_json(directory / "result.json")
     spec = from_plain(ExperimentSpec, doc.get("spec"))
     # Re-run the stored spec: re-emitting the stored result alone would
     # accept a result.json edited together with its checksums.

@@ -5,21 +5,20 @@ adds large sparse corruption to the same setup, and fig3 sweeps the
 corruption scale to relate an identifiability ratio of the realized
 error vector to the empirical error horizon.
 
-Fairness and determinism: within one trial every method sees the
+Fairness and determinism: within one job every method sees the
 identical problem, all randomness derives from the experiment seed, and
 results are sorted canonically before emission, so a rerun reproduces
 every output file byte for byte, whatever the BLAS thread count.  Jobs
 run one at a time in the calling thread; any parallelism is the BLAS
 pool's.  fig1 is the corruption-free special case of fig2; running fig2
 with corruption scale zero and the same seed yields bit-identical data
-and plot files.
+and plot files.  The files' bytes are laid out by ``serialize``.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .problems import (
     generate,
     ordered_magnitude,
 )
-from .serialize import fmt_float, from_plain, to_plain
+from .serialize import csv_blocks, from_plain, read_json, to_plain, write_csv, write_json
 from .solvers import DEFAULT_HORIZON_WINDOW, SolverConfig, horizon_estimate, run, run_batch
 from . import svgplot
 
@@ -231,68 +230,57 @@ def _identifiability_ratio(problem: CorruptedProblem, q: Fraction) -> float:
     return top / denom
 
 
-def _run_curves(spec: ExperimentSpec, scale: float) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run the figure ``spec`` names, one job at a time.
+
+    A job is one problem: it is generated, every method runs on it (rk
+    alone, qrk and dqrk as one batch), and it is dropped before the next
+    job.  fig1 (noise only) and fig2 (sparse corruption of magnitude
+    corruption_scale) run one job per ensemble and give one curve per
+    (ensemble, method).  fig3 runs one job per (scale, trial) and gives
+    one point per (scale, trial, method).
+    """
     t0 = time.perf_counter()
-    curves: dict = {ens: {} for ens in spec.ensembles}
-    horizons: dict = {ens: {} for ens in spec.ensembles}
-    # One ensemble's problem is alive at a time: generate it, run every
-    # method on it, and drop it before the next.
-    for ei, ens in enumerate(spec.ensembles):
-        problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, ei, 0, 0)))
+    fig3 = spec.figure == "fig3"
+    if fig3:
+        jobs = [
+            (0, spec.ensembles[0], si, scale, trial)
+            for si, scale in enumerate(spec.scales)
+            for trial in range(spec.trials)
+        ]
+    else:
+        scale = spec.corruption_scale if spec.figure == "fig2" else 0.0
+        jobs = [(ei, ens, 0, scale, 0) for ei, ens in enumerate(spec.ensembles)]
+    curves: dict = {}
+    horizons: dict = {}
+    points = []
+    for ei, ens, si, scale, trial in jobs:
+        problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, ei, si, trial)))
         cfgs = [
-            _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, 0, 0, mi))
+            _solver_config(spec, meth, _child_seed(spec.seed, 2, ei, si, trial, mi))
             for mi, meth in enumerate(spec.methods)
         ]
-        # rk runs alone and the quantile methods as one batch.
         traces = {c.method: run(problem, c) for c in cfgs if c.method == "rk"}
         quantile = [c for c in cfgs if c.method != "rk"]
         if quantile:
             traces.update({t.method: t for t in run_batch(problem, quantile)})
-        for meth in spec.methods:
-            curves[ens][meth] = traces[meth].sq_errors
-            horizons[ens][meth] = horizon_estimate(traces[meth], spec.horizon_window)
-        del problem, traces
-    return ExperimentResult(
-        spec=spec,
-        curves=curves,
-        horizons=horizons,
-        wall_clock=time.perf_counter() - t0,
-    )
-
-
-def _run_points(spec: ExperimentSpec) -> ExperimentResult:
-    t0 = time.perf_counter()
-    ens = spec.ensembles[0]
-    points = []
-    # One (scale, trial) problem is alive at a time.
-    for si, scale in enumerate(spec.scales):
-        for trial in range(spec.trials):
-            problem = generate(_gen_spec(spec, ens, scale, _child_seed(spec.seed, 1, 0, si, trial)))
+        horizon = {meth: horizon_estimate(traces[meth], spec.horizon_window) for meth in spec.methods}
+        if fig3:
             ratio = _identifiability_ratio(problem, spec.q)
-            for mi, meth in enumerate(spec.methods):
-                cfg = _solver_config(spec, meth, _child_seed(spec.seed, 2, 0, si, trial, mi))
-                h = horizon_estimate(run(problem, cfg), spec.horizon_window)
-                points.append(Fig3Point(scale=scale, trial=trial, method=meth, ratio=ratio, horizon=h))
-            del problem
+            points += [
+                Fig3Point(scale=scale, trial=trial, method=meth, ratio=ratio, horizon=horizon[meth])
+                for meth in spec.methods
+            ]
+        else:
+            curves[ens] = {meth: traces[meth].sq_errors for meth in spec.methods}
+            horizons[ens] = horizon
+        del problem, traces
+    if not fig3:
+        return ExperimentResult(
+            spec=spec, curves=curves, horizons=horizons, wall_clock=time.perf_counter() - t0
+        )
     points.sort(key=lambda p: (p.scale, p.trial, METHOD_ORDER.index(p.method)))
-    return ExperimentResult(
-        spec=spec, points=tuple(points), wall_clock=time.perf_counter() - t0
-    )
-
-
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run the figure ``spec`` names, one job at a time.
-
-    fig1 (noise only) and fig2 (sparse corruption of magnitude
-    corruption_scale) give one curve per (ensemble, method): each
-    ensemble's problem is generated and dropped in turn, after its rk run
-    and its one qrk/dqrk batch.  fig3 gives one point per (scale, trial,
-    method), one (scale, trial) problem at a time.
-    """
-    if spec.figure == "fig3":
-        return _run_points(spec)
-    scale = spec.corruption_scale if spec.figure == "fig2" else 0.0
-    return _run_curves(spec, scale)
+    return ExperimentResult(spec=spec, points=tuple(points), wall_clock=time.perf_counter() - t0)
 
 
 def fig3_trend(result: ExperimentResult) -> dict:
@@ -321,97 +309,24 @@ def fig3_trend(result: ExperimentResult) -> dict:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-# Curve CSVs are formatted and written this many rows at a time.
-CSV_BLOCK_ROWS = 256
-
-
-def _curve_lines(per_method: dict, present: list[str], start: int, stop: int) -> list[str]:
-    """Rows start..stop-1 of one ensemble's curve table, without line ends.
-
-    Each column is formatted once; a curve shorter than the table leaves
-    its cells empty, as csv.writer writes an empty string.
-    """
-    cols = [map(str, range(start, stop))]
-    for meth in present:
-        vals = np.asarray(per_method[meth][start:stop], dtype=np.float64).tolist()
-        cols.append([format(v, ".17g") for v in vals] + [""] * (stop - start - len(vals)))
-    return list(map(",".join, zip(*cols)))
-
-
 def _write_curve_csvs(out: Path, result: ExperimentResult) -> list[Path]:
     """data_<ensemble>.csv per ensemble, and data.csv with each of their rows
-    prefixed by the ensemble.  The bytes are csv.writer's: CRLF row ends,
-    and no field here ever needs quoting."""
+    prefixed by the ensemble: each block of rows is formatted once, for both."""
     present = [meth for meth in METHOD_ORDER if meth in result.spec.methods]
-    written = []
-    path = out / "data.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["ensemble", "k", *present]) + "\r\n")
-        for ens in result.spec.ensembles:
+    paths = [out / f"data_{ens}.csv" for ens in result.spec.ensembles]
+    with open(out / "data.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(csv_blocks(["ensemble", "k", *present], [], 0))
+        for ens, path in zip(result.spec.ensembles, paths):
             per = result.curves[ens]
             length = max(len(per[meth]) for meth in present)
-            prefix = f"{ens},"
-            ens_path = out / f"data_{ens}.csv"
-            with open(ens_path, "w", encoding="utf-8", newline="") as ens_fh:
-                ens_fh.write(",".join(["k", *present]) + "\r\n")
-                for start in range(0, length, CSV_BLOCK_ROWS):
-                    lines = _curve_lines(per, present, start, min(start + CSV_BLOCK_ROWS, length))
-                    ens_fh.write("\r\n".join(lines) + "\r\n")
-                    fh.write(prefix + ("\r\n" + prefix).join(lines) + "\r\n")
-            written.append(ens_path)
-    written.append(path)
-    return written
-
-
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float_list(values: list[float], pad: str) -> str:
-    """A float list as json.dump(indent=2) writes it, items one level below ``pad``."""
-    if not values:
-        return "[]"
-    reprs = map(float.__repr__, values)
-    if not all(map(math.isfinite, values)):
-        reprs = (_JSON_NONFINITE.get(r, r) for r in reprs)
-    return "[" + pad + "  " + ("," + pad + "  ").join(reprs) + pad + "]"
-
-
-def _write_result_json(path: Path, result: ExperimentResult) -> None:
-    """result.json, byte-identical to json.dump(doc, indent=2, sort_keys=True).
-
-    The curve lists hold nearly all the bytes, and an indent sends json
-    through its pure-Python encoder.  So the document is dumped with a
-    placeholder string per curve, and each curve is written in its place,
-    one at a time, as float.__repr__ lines: json's own float format, with
-    its spelling of the non-finite values.
-    """
-    doc = result.to_dict()
-    curves = {}
-    for per in doc.get("curves", {}).values():
-        for meth, values in per.items():
-            token = f"@curve{len(curves)}@"
-            curves[f'"{token}"'] = values
-            per[meth] = token
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    spots = sorted((text.index(token), token) for token in curves)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        pos = 0
-        for at, token in spots:
-            key_line = text[text.rindex("\n", 0, at) + 1 : at]  # '      "rk": '
-            pad = "\n" + " " * (len(key_line) - len(key_line.lstrip()))
-            fh.write(text[pos:at])
-            fh.write(_json_float_list(curves[token], pad))
-            pos = at + len(token)
-        fh.write(text[pos:] + "\n")
+            columns = [range(length), *(per[meth] for meth in present)]
+            blocks = csv_blocks(["k", *present], columns, length)
+            with open(path, "w", encoding="utf-8", newline="") as ens_fh:
+                ens_fh.write(next(blocks))
+                for block in blocks:
+                    ens_fh.write(block)
+                    fh.writelines(f"{ens},{line}" for line in block.splitlines(keepends=True))
+    return [*paths, out / "data.csv"]
 
 
 def _curves_svg(result: ExperimentResult) -> str:
@@ -474,14 +389,9 @@ def emit(result: ExperimentResult, out_dir) -> list[Path]:
         written = _write_curve_csvs(out, result)
     else:
         path = out / "data.csv"
-        _write_csv(
-            path,
-            ["scale", "trial", "method", "ratio", "horizon"],
-            (
-                [fmt_float(p.scale), str(p.trial), p.method, fmt_float(p.ratio), fmt_float(p.horizon)]
-                for p in result.points
-            ),
-        )
+        names = [f.name for f in fields(Fig3Point)]
+        columns = [[getattr(p, name) for p in result.points] for name in names]
+        write_csv(path, names, columns, len(result.points))
         written = [path]
 
     svg = _curves_svg(result) if result.curves is not None else _scatter_svg(result)
@@ -490,12 +400,11 @@ def emit(result: ExperimentResult, out_dir) -> list[Path]:
     written.append(path)
 
     path = out / "result.json"
-    _write_result_json(path, result)
+    write_json(path, result.to_dict())
     written.append(path)
     return written
 
 
 def load_result(path) -> ExperimentResult:
     """Read back a result.json written by emit()."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentResult.from_dict(json.load(fh))
+    return ExperimentResult.from_dict(read_json(path))

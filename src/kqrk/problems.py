@@ -69,7 +69,7 @@ class GenSpec:
         try:
             beta = feasible_level(self.beta, self.m)
         except ValueError as exc:
-            raise InvalidSpecError(f"--beta: {exc}") from exc
+            raise InvalidSpecError(f"beta: {exc}") from exc
         object.__setattr__(self, "beta", beta)
 
     @property

@@ -10,11 +10,15 @@ Binary matrix container layout (little-endian):
     24      1     row_normalized flag (u8, 0 or 1)
     25      m*n*8 entries, float64, row-major
 
-CSV files use '.' as the decimal separator and 17 significant digits,
-which round-trips every float64 exactly.  A problem bundle is a directory
-holding the matrix container, one single-column CSV per vector, and a
-JSON manifest with the generating spec, the pre-normalization row norms,
-and SHA-256 checksums of every data file.
+Every CSV and JSON byte kqrk writes comes from this module.  A CSV
+(``write_csv``) is a header line and one CRLF-ended line per row; a
+float cell has 17 significant digits (``fmt_float``), lossless for
+float64, any other cell is ``str`` of its value, and a column with no
+value in a row leaves the cell empty.  A JSON file (``write_json``) is
+indented by 2 with sorted keys and a trailing newline.  A problem bundle
+is a directory holding the matrix container, one single-column CSV per
+vector, and a JSON manifest with the generating spec, the
+pre-normalization row norms, and SHA-256 checksums of every data file.
 
 A record stored as JSON (a spec, a scatter point, the parameter and
 singular-value blocks of a bounds report) is its dataclass fields, one
@@ -27,11 +31,13 @@ import csv
 import hashlib
 import json
 import os
+import re
 import struct
 import sys
 import typing
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +60,11 @@ __all__ = [
     "load_problem",
     "problem_files",
     "save_trace_csv",
+    "csv_blocks",
+    "write_csv",
     "to_plain",
     "from_plain",
+    "read_json",
     "write_json",
 ]
 
@@ -145,12 +154,39 @@ def matrix_file_equals(path: str | Path, a: DenseMatrix) -> bool:
     return True
 
 
+# CSV rows are formatted and written this many at a time.
+CSV_BLOCK_ROWS = 256
+
+
+def _cells(column, start: int, stop: int) -> list[str]:
+    """Cells start..stop-1 of one column; empty past its end or for None."""
+    if column is None:
+        return [""] * (stop - start)
+    values = np.asarray(column[start:stop])
+    cells = list(map(fmt_float if values.dtype.kind == "f" else str, values.tolist()))
+    return cells + [""] * (stop - start - len(cells))
+
+
+def csv_blocks(header: list[str], columns: list, rows: int):
+    """A CSV file's text: its header line, then CSV_BLOCK_ROWS rows at a time
+    of ``columns``, one sequence (or None) per header name.  The bytes are
+    csv.writer's, as no cell kqrk writes needs quoting."""
+    yield ",".join(header) + "\r\n"
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, rows)
+        cells = [_cells(column, start, stop) for column in columns]
+        yield "".join(",".join(row) + "\r\n" for row in zip(*cells))
+
+
+def write_csv(path: str | Path, header: list[str], columns: list, rows: int) -> None:
+    """``rows`` rows of ``columns`` under ``header``, as ``csv_blocks`` lays them out."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(csv_blocks(header, columns, rows))
+
+
 def save_vector_csv(path: str | Path, name: str, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name])
-        for v in np.asarray(values).ravel():
-            writer.writerow([fmt_float(v)])
+    values = np.asarray(values, dtype=np.float64).ravel()
+    write_csv(path, [name], [values], len(values))
 
 
 def load_vector_csv(path: str | Path) -> np.ndarray:
@@ -238,10 +274,51 @@ def from_plain(cls, payload):
         raise InvalidSpecError(f"{name}: {exc}") from exc
 
 
+def read_json(path: str | Path) -> dict:
+    """The JSON object stored at ``path``; ContainerFormatError naming the
+    file for text that is not JSON, or JSON that is not an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ContainerFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ContainerFormatError(f"{path}: not a JSON object")
+    return doc
+
+
+# json escapes the NUL, and no name or path kqrk writes can hold one.
+_PLACEHOLDER = "\0@{}"
+
+
+def _float_lists_out(doc, lists: list, depth: int = 0):
+    """``doc`` with each nonempty all-float list replaced by a placeholder
+    string; each list and its nesting depth is appended to ``lists``."""
+    if isinstance(doc, dict):
+        return {k: _float_lists_out(v, lists, depth + 1) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        if doc and all(map(isinstance, doc, repeat(float))):
+            lists.append((doc, depth))
+            return _PLACEHOLDER.format(len(lists) - 1)
+        return [_float_lists_out(v, lists, depth + 1) for v in doc]
+    return doc
+
+
 def write_json(path: str | Path, doc) -> None:
-    """``doc`` as JSON: indent 2, sorted keys, a trailing newline."""
+    """``doc`` as json.dump(doc, indent=2, sort_keys=True) writes it, and a
+    trailing newline.  Float lists (curves, row norms) hold nearly all the
+    bytes, and an indent sends json through its pure-Python encoder, so
+    each nonempty all-float list is dumped as a placeholder and written in
+    its place by json's C encoder, which spells floats the same way."""
+    lists: list = []
+    text = json.dumps(_float_lists_out(doc, lists), indent=2, sort_keys=True)
+    parts = re.split(r'"\\u0000@(\d+)"', text)  # the placeholders as json spells them
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(parts[0])
+        for index, rest in zip(parts[1::2], parts[2::2]):
+            values, depth = lists[int(index)]
+            pad = "\n" + "  " * depth
+            items = json.dumps(values)[1:-1].replace(", ", "," + pad + "  ")
+            fh.write(f"[{pad}  {items}{pad}]{rest}")
         fh.write("\n")
 
 
@@ -286,12 +363,7 @@ def load_problem(directory: str | Path) -> tuple[CorruptedProblem, dict]:
     manifest_path = base / MANIFEST_FILENAME
     if not manifest_path.is_file():
         raise ContainerFormatError(f"{base}: no {MANIFEST_FILENAME}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ContainerFormatError(f"{manifest_path}: not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ContainerFormatError(f"{manifest_path}: not a JSON object")
+    manifest = read_json(manifest_path)
     files = problem_files(base)
     system = load_matrix(files["matrix"])
     vectors = {name: load_vector_csv(files[name]) for name in VECTOR_NAMES}
@@ -314,18 +386,7 @@ def save_trace_csv(path, trace) -> None:
     quantiles; the final state has no chosen index; a trace run without
     residual norms has none)."""
     states = len(trace.admissible_sizes)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "sq_error", "residual_norm", "chosen_index", "Q0", "Q"])
-        for k in range(states):
-            writer.writerow(
-                [
-                    str(k),
-                    "" if trace.sq_errors is None else fmt_float(float(trace.sq_errors[k])),
-                    "" if trace.residual_norms is None
-                    else fmt_float(float(trace.residual_norms[k])),
-                    str(int(trace.chosen_indices[k])) if k < len(trace.chosen_indices) else "",
-                    "" if trace.quantiles_q0 is None else fmt_float(float(trace.quantiles_q0[k])),
-                    "" if trace.quantiles_q is None else fmt_float(float(trace.quantiles_q[k])),
-                ]
-            )
+    columns = [range(states), trace.sq_errors, trace.residual_norms,
+               trace.chosen_indices, trace.quantiles_q0, trace.quantiles_q]
+    header = ["k", "sq_error", "residual_norm", "chosen_index", "Q0", "Q"]
+    write_csv(path, header, columns, states)

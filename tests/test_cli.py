@@ -446,6 +446,24 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ") and "'trials'" in err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("manifest.json", "{bad"), ("result.json", "[1]")],
+        ids=["manifest_not_json", "result_not_an_object"],
+    )
+    def test_malformed_json_fails_verification(self, tmp_path, capsys, name, text):
+        out = tmp_path / "exp"
+        assert main(["experiment", "fig1", *self.ARGS, "--out", str(out)]) == 0
+        (out / name).write_text(text)
+        if name == "result.json":  # past the checksum, to the reader
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["outputs"]["result.json"] = sha256_file(out / "result.json")
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["verify", "--experiment", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ") and name in err
+
     def test_missing_output_fails_verification(self, tmp_path):
         out = tmp_path / "exp"
         assert main(["experiment", "fig2", *self.ARGS, "--out", str(out)]) == 0

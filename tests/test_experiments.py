@@ -13,7 +13,6 @@ from kqrk.experiments import (
     Fig3Point,
     _identifiability_ratio,
     _write_curve_csvs,
-    _write_result_json,
     desk_profile,
     emit,
     fig3_trend,
@@ -23,7 +22,8 @@ from kqrk.experiments import (
 )
 from kqrk.linalg import NonIntegerQuantileError
 from kqrk.problems import GenSpec, InvalidSpecError, generate
-from kqrk.serialize import from_plain, to_plain
+from kqrk.serialize import from_plain, save_trace_csv, save_vector_csv, to_plain, write_json
+from kqrk.solvers import SolverConfig, run
 
 SMALL = dict(
     m=40,
@@ -283,9 +283,9 @@ class TestEmission:
         assert body == []
 
     def test_curve_files_match_the_standard_writers(self, tmp_path):
-        # data*.csv and result.json are byte-identical to what the csv
-        # module and json.dump(indent=2, sort_keys=True) write, for curves
-        # of unequal length with non-finite, signed-zero and extreme values,
+        # Every CSV and JSON writer is byte-identical to what the csv module
+        # and json.dump(indent=2, sort_keys=True) write.  The curves are of
+        # unequal length with non-finite, signed-zero and extreme values,
         # long enough to span several blocks of rows.  The writers are called
         # directly: plot.svg is not under test, and its log axis cannot place
         # a subnormal minimum.
@@ -303,7 +303,7 @@ class TestEmission:
             spec=_spec("fig2", iterations=9000), curves=curves, horizons=horizons
         )
         _write_curve_csvs(tmp_path, result)
-        _write_result_json(tmp_path / "result.json", result)
+        write_json(tmp_path / "result.json", result.to_dict())
 
         def reference_csv(header, rows):
             buf = io.StringIO(newline="")
@@ -312,13 +312,21 @@ class TestEmission:
             writer.writerows(rows)
             return buf.getvalue().encode()
 
+        def reference_json(doc):
+            buf = io.StringIO()
+            json.dump(doc, buf, indent=2, sort_keys=True)
+            return (buf.getvalue() + "\n").encode()
+
+        def cell(values, k):
+            if values is None or k >= len(values):
+                return ""
+            v = values[k]
+            return format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
+
         def rows(per):
             length = max(len(arr) for arr in per.values())
             for k in range(length):
-                yield [str(k)] + [
-                    format(float(per[m][k]), ".17g") if k < len(per[m]) else ""
-                    for m in ("rk", "qrk", "dqrk")
-                ]
+                yield [str(k)] + [cell(per[m], k) for m in ("rk", "qrk", "dqrk")]
 
         combined = []
         for ens, per in curves.items():
@@ -327,9 +335,62 @@ class TestEmission:
             combined += [[ens, *row] for row in rows(per)]
         expected = reference_csv(["ensemble", "k", "rk", "qrk", "dqrk"], combined)
         assert (tmp_path / "data.csv").read_bytes() == expected
-        buf = io.StringIO()
-        json.dump(result.to_dict(), buf, indent=2, sort_keys=True)
-        assert (tmp_path / "result.json").read_bytes() == (buf.getvalue() + "\n").encode()
+        assert (tmp_path / "result.json").read_bytes() == reference_json(result.to_dict())
+
+        # Solver traces: dqrk stopped early by stop_below (shorter arrays,
+        # quantile columns) and rk without residual norms (empty columns).
+        problem = generate(
+            GenSpec(m=40, n=4, beta=Fraction(1, 20), corruption_scale=100, noise_stddev=0, seed=3)
+        )
+        traces = [
+            run(problem, SolverConfig(method="dqrk", q=Fraction(4, 5), q0=Fraction(3, 5),
+                                      iterations=5000, stop_below=1e-3), residual_norms=True),
+            run(problem, SolverConfig(method="rk", iterations=700)),
+        ]
+        assert len(traces[0].chosen_indices) < 5000 and traces[1].residual_norms is None
+        for i, trace in enumerate(traces):
+            save_trace_csv(tmp_path / f"trace{i}.csv", trace)
+            columns = [trace.sq_errors, trace.residual_norms, trace.chosen_indices,
+                       trace.quantiles_q0, trace.quantiles_q]
+            expected = reference_csv(
+                ["k", "sq_error", "residual_norm", "chosen_index", "Q0", "Q"],
+                ([str(k)] + [cell(c, k) for c in columns]
+                 for k in range(len(trace.admissible_sizes))),
+            )
+            assert (tmp_path / f"trace{i}.csv").read_bytes() == expected
+
+        vector = np.concatenate([special, rng.standard_normal(600)])
+        save_vector_csv(tmp_path / "v.csv", "b", vector)
+        expected = reference_csv(["b"], ([cell(vector, k)] for k in range(len(vector))))
+        assert (tmp_path / "v.csv").read_bytes() == expected
+
+        points = (
+            Fig3Point(scale=1.0, trial=0, method="rk", ratio=np.inf, horizon=2.5),
+            Fig3Point(scale=1.0, trial=0, method="dqrk", ratio=np.inf, horizon=0.1),
+            Fig3Point(scale=10.0, trial=1, method="rk", ratio=3.25, horizon=-0.0),
+        )
+        fig3 = ExperimentResult(spec=_spec("fig3", trials=2, scales=(1.0, 10.0)), points=points)
+        emit(fig3, tmp_path / "fig3")
+        expected = reference_csv(
+            ["scale", "trial", "method", "ratio", "horizon"],
+            ([cell([p.scale], 0), str(p.trial), p.method, cell([p.ratio], 0), cell([p.horizon], 0)]
+             for p in points),
+        )
+        assert (tmp_path / "fig3" / "data.csv").read_bytes() == expected
+        assert (tmp_path / "fig3" / "result.json").read_bytes() == reference_json(fig3.to_dict())
+
+        doc = {
+            "nested": [[0.5, -1e-300], [np.nan, np.inf, -np.inf], [], [[2.0], [3.0, 4.0]]],
+            "empty": [],
+            "mixed": [1, 2.5, -0.0],
+            "nonfinite": [np.nan, -np.inf, np.inf, 5e-324],
+            "norms": vector.tolist(),
+            "scalars": {"a": 1.0, "b": None, "c": True, "d": "x"},
+        }
+        write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_bytes() == reference_json(doc)
+        write_json(tmp_path / "top.json", [0.25, np.nan])
+        assert (tmp_path / "top.json").read_bytes() == reference_json([0.25, np.nan])
 
     def test_loaded_spec_round_trips(self, tmp_path):
         spec = _spec("fig3", trials=2, scales=(1.0, 10.0))

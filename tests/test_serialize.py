@@ -218,7 +218,7 @@ class TestProblemBundle:
             (GenSpec, {**_GEN, "m": "forty"}, "GenSpec: key 'm' must be int, got 'forty'"),
             (GenSpec, {**_GEN, "signed_corruption": "yes"},
              "GenSpec: key 'signed_corruption' must be bool"),
-            (GenSpec, {**_GEN, "beta": "one"}, "GenSpec: --beta: Invalid literal"),
+            (GenSpec, {**_GEN, "beta": "one"}, "GenSpec: beta: Invalid literal"),
             (GenSpec, {**_GEN, "m": 2}, "GenSpec: need m >= n >= 1"),
             (GenSpec, ["m", 12], "GenSpec: expected an object"),
             (ExperimentSpec, {k: v for k, v in _EXP.items() if k != "figure"},
