@@ -1,4 +1,4 @@
-"""File formats: binary matrix container, CSV vectors, bundles.
+"""File formats: binary matrix container, CSV and JSON files, bundles.
 
 Binary matrix container layout (little-endian):
 
@@ -10,7 +10,7 @@ Binary matrix container layout (little-endian):
     24      1     row_normalized flag (u8, 0 or 1)
     25      m*n*8 entries, float64, row-major
 
-Every CSV and JSON byte kqrk writes comes from this module.  A CSV
+Every CSV and JSON file kqrk writes is laid out here.  A CSV
 (``write_csv``) is a header line and one CRLF-ended line per row; a
 float cell has 17 significant digits (``fmt_float``), lossless for
 float64, any other cell is ``str`` of its value, and a column with no
@@ -159,7 +159,8 @@ CSV_BLOCK_ROWS = 256
 
 
 def _cells(column, start: int, stop: int) -> list[str]:
-    """Cells start..stop-1 of one column; empty past its end or for None."""
+    """Cells start..stop-1 of one column, by ``fmt_float`` for a float
+    column and by ``str`` for any other; empty past its end or for None."""
     if column is None:
         return [""] * (stop - start)
     values = np.asarray(column[start:stop])
@@ -175,7 +176,7 @@ def csv_blocks(header: list[str], columns: list, rows: int):
     for start in range(0, rows, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, rows)
         cells = [_cells(column, start, stop) for column in columns]
-        yield "".join(",".join(row) + "\r\n" for row in zip(*cells))
+        yield "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def write_csv(path: str | Path, header: list[str], columns: list, rows: int) -> None:
