@@ -27,6 +27,13 @@ A sampled subset minimum only overestimates the true one, so in sampled
 mode a satisfied inequality proves nothing (recorded as unknown) while a
 failed inequality is a genuine failure.  Only exact mode certifies true.
 
+``spectral_summary`` computes the subset minima before the full SVD, so
+a level the subset engine refuses costs no SVD.  The noise allowance,
+the (beta m + 1)-th largest |epsilon_i|, is worked out once, by
+``noise_allowance``: the general horizon records it, and the EH
+comparison reads C, the noise coefficient and the allowance from that
+record.  ``build_report`` walks one table of certificates in record order.
+
 ``quantile_bounds`` is evaluated after a run, on a realized instance: it
 maps a trace's squared errors to the sparse and noisy ceilings on the
 q-quantile residual.
@@ -44,7 +51,6 @@ from .linalg import (
     DenseMatrix,
     SigmaQMinResult,
     as_level,
-    check_product_table,
     feasible_level,
     frobenius_sq,
     sigma_q_min_exact,
@@ -71,6 +77,7 @@ __all__ = [
     "qrk_rate_alternative",
     "compare_qrk_rates",
     "qrk_error_horizon",
+    "noise_allowance",
     "qrk_general_horizon",
     "eh_comparison_condition",
     "timevar_constants",
@@ -186,27 +193,26 @@ def spectral_summary(
     samples: int | None = None,
     seed: int = 0,
 ) -> SpectralSummary:
-    """Compute the singular data a report needs for the given params."""
-    lvl_q = params.q - params.beta
-    check_product_table(a, lvl_q)  # before the full SVD
-    if params.q0 is not None:
-        check_product_table(a, params.q0 - params.beta)
-    smax, smin = singular_extremes(a)
-    kwargs: dict = {}
+    """Compute the singular data a report needs for the given params.
+
+    The subset minima come first, so a level the subset engine refuses
+    (its product table over budget, or in exact mode too many subsets)
+    is refused before the full SVD.  A sampled q0 level draws with seed + 1.
+    """
     if sigma_mode == "exact":
-        sq = sigma_q_min_exact(a, lvl_q)
-        if params.q0 is not None:
-            kwargs["sigma_q0_beta_min"] = sigma_q_min_exact(a, params.q0 - params.beta)
+        def sigma(level, offset):
+            return sigma_q_min_exact(a, level)
     elif sigma_mode == "sampled":
         if samples is None or samples < 1:
             raise ValueError("sampled mode requires a positive sample count")
-        sq = sigma_q_min_sampled(a, lvl_q, samples, seed)
-        if params.q0 is not None:
-            kwargs["sigma_q0_beta_min"] = sigma_q_min_sampled(
-                a, params.q0 - params.beta, samples, seed + 1
-            )
+
+        def sigma(level, offset):
+            return sigma_q_min_sampled(a, level, samples, seed + offset)
     else:
         raise ValueError(f"unknown sigma mode {sigma_mode!r}")
+    sq = sigma(params.q - params.beta, 0)
+    sq0 = None if params.q0 is None else sigma(params.q0 - params.beta, 1)
+    smax, smin = singular_extremes(a)
     return SpectralSummary(
         m=a.m,
         n=a.n,
@@ -214,7 +220,7 @@ def spectral_summary(
         sigma_min=smin,
         frobenius_sq=frobenius_sq(a),
         sigma_q_beta_min=sq,
-        **kwargs,
+        sigma_q0_beta_min=sq0,
     )
 
 
@@ -479,19 +485,24 @@ def qrk_error_horizon(
     return _certificate(summary, params, "horizon", False, "qrk_error_horizon", eta_inf=eta_inf)
 
 
+def noise_allowance(epsilon: np.ndarray, beta: Fraction | float) -> float:
+    """The (beta*m + 1)-th largest magnitude of the total error vector epsilon.
+
+    The corruption budget absorbs the beta*m worst entries; what is left
+    bounds the noise every horizon carries.
+    """
+    eps = np.asarray(epsilon, dtype=np.float64).ravel()
+    k = int(feasible_level(beta, eps.size) * eps.size)
+    if k + 1 > eps.size:
+        raise InvalidRegimeError("beta*m + 1 exceeds the vector length")
+    return ordered_magnitude(eps, k + 1)
+
+
 def qrk_general_horizon(
     summary: SpectralSummary, params: RobustParams, epsilon: np.ndarray
 ) -> BoundRecord:
-    """Horizon for an arbitrary total error vector epsilon.
-
-    The noise allowance is the (beta*m + 1)-th largest magnitude of
-    epsilon: the corruption budget absorbs the beta*m worst entries.
-    """
-    eps = np.asarray(epsilon, dtype=np.float64).ravel()
-    k = int(feasible_level(params.beta, eps.size) * eps.size)
-    if k + 1 > eps.size:
-        raise InvalidRegimeError("beta*m + 1 exceeds the vector length")
-    allowance = ordered_magnitude(eps, k + 1)
+    """Horizon for an arbitrary total error vector epsilon, at its noise allowance."""
+    allowance = noise_allowance(epsilon, params.beta)
     record = qrk_error_horizon(summary, params, allowance)
     return replace(
         record,
@@ -505,26 +516,21 @@ def eh_comparison_condition(
 ) -> BoundRecord:
     """When does the quantile horizon bound beat the plain one?
 
-    Verdict: eps_(beta*m+1) / eps_(1) < sqrt(C m / (sigma_min^2 coef)).
+    Verdict: eps_(beta*m+1) / eps_(1) < sqrt(C m / (sigma_min^2 coef)), with
+    C, coef and the noise allowance eps_(beta*m+1) read from the general horizon.
     """
     _need(summary)
     _kind(params, False)
-    eps = np.asarray(epsilon, dtype=np.float64).ravel()
-    top = ordered_magnitude(eps, 1)
+    top = ordered_magnitude(epsilon, 1)
     if top == 0.0:
         raise ZeroCorruptionError("epsilon is zero; the comparison is vacuous")
     if summary.sigma_min < RANK_TOLERANCE * summary.sigma_max:
         raise FullRankViolationError("comparison needs full column rank")
-    f = _floats(summary, params, False)
-    c = _decay(f, "horizon", False, "qrk_error_horizon")[0]
-    if c <= 0.0:
+    v = qrk_general_horizon(summary, params, epsilon).values
+    if v["C"] <= 0.0:
         raise InvalidRegimeError("comparison requires C > 0")
-    k = int(feasible_level(params.beta, eps.size) * eps.size)
-    if k + 1 > eps.size:
-        raise InvalidRegimeError("beta*m + 1 exceeds the vector length")
-    lhs = ordered_magnitude(eps, k + 1) / top
-    coef = 2.0 * f.r * (1.0 - f.q) / f.q + 1.0
-    rhs = math.sqrt(c * summary.m / (summary.sigma_min**2 * coef))
+    lhs = v["noise_allowance"] / top
+    rhs = math.sqrt(v["C"] * summary.m / (summary.sigma_min**2 * v["coefficient"]))
     exact = summary.exactness()
     return BoundRecord(
         name="eh_comparison",
@@ -707,14 +713,35 @@ def build_report(
 ) -> BoundReport:
     """Evaluate every certificate that applies, tolerating regime gaps.
 
+    One table of (name, applies, evaluator) rows fixes the record order.
     Operations whose regime preconditions fail are recorded with a
     ``not_applicable`` flag instead of aborting the report.
     """
+    qrk = params if params.q0 is None else robust_params(params.beta, params.q)
+    eps, eta, dq = epsilon is not None, eta_inf is not None, params.q0 is not None
+    rows = (
+        ("rk_horizon", eps, lambda: rk_horizon(summary, epsilon, row_norms)),
+        ("qrk_rate_original", True, lambda: qrk_rate_original(summary, qrk)),
+        ("qrk_rate_alternative", True, lambda: qrk_rate_alternative(summary, qrk)),
+        ("qrk_rate_comparison", True, lambda: compare_qrk_rates(summary, qrk)),
+        ("qrk_error_horizon", eta, lambda: qrk_error_horizon(summary, qrk, eta_inf)),
+        ("qrk_general_horizon", eps, lambda: qrk_general_horizon(summary, qrk, epsilon)),
+        ("eh_comparison", eps, lambda: eh_comparison_condition(summary, qrk, epsilon)),
+        ("timevar_constants", True, lambda: timevar_constants(summary, qrk)),
+        ("qrask_coefficient_comparison", True,
+         lambda: qrask_coefficient_comparison(summary, qrk)),
+        ("dqrk_rate_original", dq, lambda: dqrk_rate_original(summary, params)),
+        ("dqrk_rate_alternative", dq, lambda: dqrk_rate_alternative(
+            summary, params, x0_on_hyperplane=x0_on_hyperplane)),
+        ("dqrk_rate_comparison", dq, lambda: compare_dqrk_rates(summary, params)),
+        ("dqrk_error_horizon", dq and eta, lambda: dqrk_error_horizon(summary, params, eta_inf)),
+    )
     records: list[BoundRecord] = []
-
-    def attempt(name: str, thunk) -> None:
+    for name, applies, evaluate in rows:
+        if not applies:
+            continue
         try:
-            records.append(thunk())
+            records.append(evaluate())
         except (InvalidRegimeError, ZeroCorruptionError, FullRankViolationError) as exc:
             records.append(
                 BoundRecord(
@@ -725,49 +752,4 @@ def build_report(
                     flags={"not_applicable": True, "reason": str(exc)},
                 )
             )
-
-    if epsilon is not None:
-        attempt("rk_horizon", lambda: rk_horizon(summary, epsilon, row_norms))
-
-    qrk_params = (
-        params if params.q0 is None else robust_params(params.beta, params.q)
-    )
-    attempt("qrk_rate_original", lambda: qrk_rate_original(summary, qrk_params))
-    attempt("qrk_rate_alternative", lambda: qrk_rate_alternative(summary, qrk_params))
-    attempt("qrk_rate_comparison", lambda: compare_qrk_rates(summary, qrk_params))
-    if eta_inf is not None:
-        attempt(
-            "qrk_error_horizon",
-            lambda: qrk_error_horizon(summary, qrk_params, eta_inf),
-        )
-    if epsilon is not None:
-        attempt(
-            "qrk_general_horizon",
-            lambda: qrk_general_horizon(summary, qrk_params, epsilon),
-        )
-        attempt(
-            "eh_comparison",
-            lambda: eh_comparison_condition(summary, qrk_params, epsilon),
-        )
-    attempt("timevar_constants", lambda: timevar_constants(summary, qrk_params))
-    attempt(
-        "qrask_coefficient_comparison",
-        lambda: qrask_coefficient_comparison(summary, qrk_params),
-    )
-
-    if params.q0 is not None:
-        attempt("dqrk_rate_original", lambda: dqrk_rate_original(summary, params))
-        attempt(
-            "dqrk_rate_alternative",
-            lambda: dqrk_rate_alternative(
-                summary, params, x0_on_hyperplane=x0_on_hyperplane
-            ),
-        )
-        attempt("dqrk_rate_comparison", lambda: compare_dqrk_rates(summary, params))
-        if eta_inf is not None:
-            attempt(
-                "dqrk_error_horizon",
-                lambda: dqrk_error_horizon(summary, params, eta_inf),
-            )
-
     return BoundReport(params=params, summary=summary, records=tuple(records))

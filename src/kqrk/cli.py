@@ -6,11 +6,13 @@ parameter set, the seeds, and content checksums, so any output can be
 reproduced byte-identically on the same build.  Wall-clock timing is the
 one manifest field allowed to differ between identical runs.
 
-Levels (beta, q, q0) given on the command line are snapped to the
-nearest value whose product with m is an integer; a snap is reported on
-stderr and recorded in the manifest.  A config file of ``key = value``
-lines (# comments allowed) can supply any flag; explicit command-line
-flags win.
+Each command's ``Opt`` table decides its flags: the flag and config
+key, the record field it sets (GenSpec, SolverConfig, RobustParams or
+ExperimentSpec), and so the manifest ``parameters``, read back from that
+record.  Level flags (beta, q, q0) are snapped to the nearest value
+whose product with m is an integer; a snap is reported on stderr and
+recorded in the manifest.  A config file of ``key = value`` lines (#
+comments allowed) can supply any flag; explicit command-line flags win.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import build_report, robust_params, spectral_summary
+from .bounds import build_report, noise_allowance, robust_params, spectral_summary
 from .experiments import (
     ExperimentSpec,
     desk_profile,
@@ -43,12 +45,7 @@ from .linalg import (
     as_level,
     snap_level,
 )
-from .problems import (
-    GenSpec,
-    InvalidSpecError,
-    generate,
-    ordered_magnitude,
-)
+from .problems import GenSpec, InvalidSpecError, generate
 from .serialize import (
     VECTOR_NAMES,
     ContainerFormatError,
@@ -126,7 +123,7 @@ class Opt:
     default: object = None
     required: bool = False
     help: str = ""
-    field: str = ""  # the GenSpec or ExperimentSpec field the flag sets
+    field: str = ""  # the field the flag sets in the command's record
 
 
 def _conv_bool(s: str) -> bool:
@@ -193,20 +190,36 @@ def _add_opts(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
         )
 
 
-def _snap(
-    name: str, value: Fraction | None, m: int, snaps: dict
-) -> Fraction | None:
-    if value is None:
-        return None
-    snapped = snap_level(value, m)
-    if snapped != value:
-        print(
-            f"{name}*m must be an integer; nearest feasible {name} = "
-            f"{float(snapped):.6g} (requested {value})",
-            file=sys.stderr,
-        )
-        snaps[name] = {"requested": str(value), "used": str(snapped)}
-    return snapped
+def _snap_levels(opt: dict, opts: list[Opt], m: int) -> dict:
+    """Snap every level given in ``opt`` to the nearest k/m, in place.
+
+    Each snap is reported on stderr; the returned dict of them is the
+    manifest's ``snapped`` block.
+    """
+    snaps: dict = {}
+    for o in opts:
+        value = opt[o.name]
+        if o.conv is not as_level or value is None:
+            continue
+        opt[o.name] = snapped = snap_level(value, m)
+        if snapped != value:
+            print(
+                f"{o.name}*m must be an integer; nearest feasible {o.name} = "
+                f"{float(snapped):.6g} (requested {value})",
+                file=sys.stderr,
+            )
+            snaps[o.name] = {"requested": str(value), "used": str(snapped)}
+    return snaps
+
+
+def _fields(opt: dict, opts: list[Opt]) -> dict:
+    """The record fields the resolved flags set."""
+    return {o.field: opt[o.name] for o in opts if o.field}
+
+
+def _parameters(opts: list[Opt], record) -> dict:
+    """Manifest parameters: each field-setting flag, as the record holds it."""
+    return {o.name: to_plain(getattr(record, o.field)) for o in opts if o.field}
 
 
 # ---------------------------------------------------------------- manifest
@@ -267,16 +280,14 @@ _GEN_OPTS = [
 def cmd_gen(ns: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     opt = resolve_opts(ns, _GEN_OPTS)
-    snaps: dict = {}
-    values = {o.field: opt[o.name] for o in _GEN_OPTS if o.field}
-    values["beta"] = _snap("beta", opt["beta"], opt["m"], snaps)
-    spec = GenSpec(**values, seed=opt["seed"])
+    snaps = _snap_levels(opt, _GEN_OPTS, opt["m"])
+    spec = GenSpec(**_fields(opt, _GEN_OPTS), seed=opt["seed"])
     problem = generate(spec)
     out = Path(opt["out"])
     run_doc = _manifest(
         "gen",
         argv,
-        {o.name: to_plain(getattr(spec, o.field)) for o in _GEN_OPTS if o.field},
+        _parameters(_GEN_OPTS, spec),
         {"seed": spec.seed},
         {},
         snapped=snaps,
@@ -288,12 +299,12 @@ def cmd_gen(ns: argparse.Namespace, argv: list[str]) -> int:
 
 _SOLVE_OPTS = [
     Opt("problem", str, required=True, help="problem bundle directory"),
-    Opt("method", str, required=True, help="rk|qrk|dqrk"),
-    Opt("q", as_level, help="upper quantile level"),
-    Opt("q0", as_level, help="lower quantile level (dqrk)"),
-    Opt("iters", int, default=10_000),
+    Opt("method", str, required=True, field="method", help="rk|qrk|dqrk"),
+    Opt("q", as_level, field="q", help="upper quantile level"),
+    Opt("q0", as_level, field="q0", help="lower quantile level (dqrk)"),
+    Opt("iters", int, default=10_000, field="iterations"),
     Opt("seed", int, default=0),
-    Opt("x0", str, default="default", help="zero|project_first|default"),
+    Opt("x0", str, default="default", field="x0", help="zero|project_first|default"),
     Opt("trace", str, required=True, help="trace CSV output path"),
 ]
 
@@ -302,17 +313,8 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     opt = resolve_opts(ns, _SOLVE_OPTS)
     problem, _ = load_problem(opt["problem"])
-    snaps: dict = {}
-    q = _snap("q", opt["q"], problem.m, snaps)
-    q0 = _snap("q0", opt["q0"], problem.m, snaps)
-    config = SolverConfig(
-        method=opt["method"],
-        q=q,
-        q0=q0,
-        iterations=opt["iters"],
-        seed=opt["seed"],
-        x0=opt["x0"],
-    )
+    snaps = _snap_levels(opt, _SOLVE_OPTS, problem.m)
+    config = SolverConfig(**_fields(opt, _SOLVE_OPTS), seed=opt["seed"])
     trace = run(problem, config, residual_norms=True)
     trace_path = Path(opt["trace"])
     trace_path.parent.mkdir(parents=True, exist_ok=True)
@@ -322,12 +324,8 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
         "solve",
         argv,
         {
-            "problem": str(opt["problem"]),
-            "method": config.method,
-            "q": None if q is None else str(q),
-            "q0": None if q0 is None else str(q0),
-            "iters": config.iterations,
-            "x0": config.x0 if isinstance(config.x0, str) else "explicit",
+            "problem": opt["problem"],
+            **_parameters(_SOLVE_OPTS, config),
             "residual_mode": "incremental"
             if config.method != "rk" and _gram_pays(problem.m, problem.n, config.iterations)
             else "full",
@@ -343,9 +341,9 @@ def cmd_solve(ns: argparse.Namespace, argv: list[str]) -> int:
 
 _BOUNDS_OPTS = [
     Opt("problem", str, required=True, help="problem bundle directory"),
-    Opt("beta", as_level, help="assumed corruption level (default: bundle)"),
-    Opt("q", as_level, required=True, help="upper quantile level"),
-    Opt("q0", as_level, help="lower quantile level (dqrk records)"),
+    Opt("beta", as_level, field="beta", help="assumed corruption level (default: bundle)"),
+    Opt("q", as_level, required=True, field="q", help="upper quantile level"),
+    Opt("q0", as_level, field="q0", help="lower quantile level (dqrk records)"),
     Opt("sigma_mode", _conv_sigma_mode, default=("exact", None), help="exact|sampled:N"),
     Opt("seed", int, default=0, help="seed for sampled mode"),
     Opt("out", str, required=True, help="report JSON path"),
@@ -356,19 +354,11 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     opt = resolve_opts(ns, _BOUNDS_OPTS)
     problem, bundle = load_problem(opt["problem"])
-    snaps: dict = {}
-    beta = opt["beta"]
-    if beta is None:
-        spec_doc = bundle.get("spec")
-        beta = (
-            from_plain(GenSpec, spec_doc).beta
-            if spec_doc is not None
-            else problem.minimal_beta()
-        )
-    beta = _snap("beta", beta, problem.m, snaps)
-    q = _snap("q", opt["q"], problem.m, snaps)
-    q0 = _snap("q0", opt["q0"], problem.m, snaps)
-    params = robust_params(beta, q, q0)
+    if opt["beta"] is None:
+        spec = bundle.get("spec")
+        opt["beta"] = problem.minimal_beta() if spec is None else from_plain(GenSpec, spec).beta
+    snaps = _snap_levels(opt, _BOUNDS_OPTS, problem.m)
+    params = robust_params(**_fields(opt, _BOUNDS_OPTS))
     mode, samples = opt["sigma_mode"]
     try:
         summary = spectral_summary(
@@ -379,7 +369,7 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
     except ProductTableTooLargeError as exc:
         raise UsageError(str(exc)) from exc
     epsilon = problem.eta + problem.xi
-    eta_inf = ordered_magnitude(epsilon, int(beta * problem.m) + 1)
+    eta_inf = noise_allowance(epsilon, params.beta)
     report = build_report(summary, params, eta_inf=eta_inf, epsilon=epsilon)
     out = Path(opt["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -388,10 +378,8 @@ def cmd_bounds(ns: argparse.Namespace, argv: list[str]) -> int:
         "bounds",
         argv,
         {
-            "problem": str(opt["problem"]),
-            "beta": str(beta),
-            "q": str(q),
-            "q0": None if q0 is None else str(q0),
+            "problem": opt["problem"],
+            **_parameters(_BOUNDS_OPTS, params),
             "sigma_mode": mode if samples is None else f"{mode}:{samples}",
         },
         {"seed": opt["seed"]},
@@ -431,18 +419,9 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
         raise UsageError("--desk and --paper are mutually exclusive")
     profile = "paper" if ns.paper else "desk"
     factory = paper_profile if ns.paper else desk_profile
-    overrides = {
-        o.field: opt[o.name]
-        for o in _EXPERIMENT_OPTS
-        if o.field and opt[o.name] is not None
-    }
-    # find m first so levels can be snapped against it
-    probe = factory(figure, seed=opt["seed"])
-    m = overrides.get("m", probe.m)
-    snaps: dict = {}
-    for key in ("beta", "q", "q0"):
-        if key in overrides:
-            overrides[key] = _snap(key, overrides[key], m, snaps)
+    m = opt["m"] if opt["m"] is not None else factory(figure).m  # the profile's
+    snaps = _snap_levels(opt, _EXPERIMENT_OPTS, m)
+    overrides = {k: v for k, v in _fields(opt, _EXPERIMENT_OPTS).items() if v is not None}
     spec = factory(figure, seed=opt["seed"], **overrides)
     print(
         f"running {figure} ({profile}, m={spec.m}, n={spec.n}, "

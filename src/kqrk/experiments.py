@@ -126,8 +126,11 @@ class ExperimentSpec:
             raise InvalidSpecError(
                 f"need beta < q0 < q, got {self.beta}, {self.q0}, {self.q}"
             )
-        if self.noise_stddev < 0 or self.corruption_scale < 0:
-            raise InvalidSpecError("scales must be nonnegative")
+        grid = self.scales if self.figure == "fig3" else ()
+        bad = [s for s in (*grid, self.corruption_scale, self.noise_stddev)
+               if not 0 <= s < math.inf]
+        if bad:
+            raise InvalidSpecError(f"scales must be finite and nonnegative, got {bad}")
 
 
 def desk_profile(figure: str, *, seed: int = 0, **overrides) -> ExperimentSpec:

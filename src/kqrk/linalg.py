@@ -60,7 +60,6 @@ __all__ = [
     "frobenius_sq",
     "sigma_q_min_exact",
     "sigma_q_min_sampled",
-    "check_product_table",
 ]
 
 SUBSET_ENUMERATION_CAP = 2_000_000
@@ -73,9 +72,9 @@ UNIT_ROW_TOLERANCE = 1e-12
 # sampling, one 8-byte rank or fingerprint per sample (see
 # _min_over_subsets).
 GATHER_BUDGET_BYTES = 1 << 20
-# The subset engine refuses, before computing anything, a product table
-# (m by n(n+1)/2 float64) above this many bytes: at m=5000, n=2500 the
-# table alone would be 125 GB.
+# Both sigma_q_min variants refuse, before computing anything, a level
+# whose product table (m by n(n+1)/2 float64) is above this many bytes:
+# at m=5000, n=2500 the table alone would be 125 GB.
 PRODUCT_TABLE_BUDGET_BYTES = 1 << 30
 # Whole-matrix passes (row norms, finiteness, row scaling) walk the rows
 # in blocks of at most this many bytes, so none holds an m-by-n temporary.
@@ -340,33 +339,20 @@ def _analytic_sigma_q_min(a: DenseMatrix, k: int) -> float | None:
 
 def _subset_size(a: DenseMatrix, q: float | Fraction) -> tuple[int, SigmaQMinResult | None]:
     # k = q*m, plus the exact result when an analytic shortcut applies.
-    k = int(feasible_level(q, a.m, lowest=1) * a.m)
+    # Without one the subset engine runs, so its product table is refused
+    # here, before both sigma_q_min variants allocate anything.
+    m, n = a.shape
+    k = int(feasible_level(q, m, lowest=1) * m)
     shortcut = _analytic_sigma_q_min(a, k)
-    if shortcut is None:
-        return k, None
-    return k, SigmaQMinResult(shortcut, "exact", 0, False)
-
-
-def check_product_table(a: DenseMatrix, q: float | Fraction) -> None:
-    """Refuse a sigma_q_min whose product table would exceed the budget.
-
-    Raises :class:`ProductTableTooLargeError` when level ``q`` has no
-    analytic shortcut and the subset engine's table would be above
-    PRODUCT_TABLE_BUDGET_BYTES.  Both sigma_q_min variants make this
-    check before they allocate anything; a caller about to do other
-    costly work first (a full SVD) can make it earlier.
-    """
-    if _subset_size(a, q)[1] is None:
-        _check_table_size(a.m, a.n)
-
-
-def _check_table_size(m: int, n: int) -> None:
+    if shortcut is not None:
+        return k, SigmaQMinResult(shortcut, "exact", 0, False)
     size = 8 * m * (n * (n + 1) // 2)
     if size > PRODUCT_TABLE_BUDGET_BYTES:
         raise ProductTableTooLargeError(
             f"sigma_q_min at m = {m}, n = {n} needs a product table of {size:,} "
             f"bytes, above the budget of {PRODUCT_TABLE_BUDGET_BYTES:,} bytes"
         )
+    return k, None
 
 
 def _colex_table(m: int, g: int) -> np.ndarray:
@@ -655,7 +641,6 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     """
     data = a.data
     m, n = data.shape
-    _check_table_size(m, n)
     drop = 2 * k > m
     g = m - k if drop else k
     # products[(i, j), r] = a_ri a_rj for i <= j in triu order, filled one
@@ -756,8 +741,10 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
 def sigma_q_min_exact(a: DenseMatrix, q: float | Fraction) -> SigmaQMinResult:
     """Exact min over all size-(q*m) row subsets of the subset sigma_min.
 
-    Raises :class:`TooManySubsetsError` when C(m, q*m) exceeds
-    SUBSET_ENUMERATION_CAP and no analytic shortcut applies.
+    Without an analytic shortcut, raises :class:`ProductTableTooLargeError`
+    when the product table is over budget, and then
+    :class:`TooManySubsetsError` when C(m, q*m) exceeds
+    SUBSET_ENUMERATION_CAP; both before any allocation.
     """
     k, shortcut = _subset_size(a, q)
     if shortcut is not None:

@@ -9,6 +9,7 @@ perturbs the others.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,10 +63,10 @@ class GenSpec:
             raise InvalidSpecError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if self.ensemble not in ENSEMBLES:
             raise InvalidSpecError(f"unknown ensemble {self.ensemble!r}")
-        if self.corruption_scale < 0:
-            raise InvalidSpecError("corruption_scale must be nonnegative")
-        if self.noise_stddev < 0:
-            raise InvalidSpecError("noise_stddev must be nonnegative")
+        if not 0 <= self.corruption_scale < math.inf:
+            raise InvalidSpecError("corruption_scale must be finite and nonnegative")
+        if not 0 <= self.noise_stddev < math.inf:
+            raise InvalidSpecError("noise_stddev must be finite and nonnegative")
         try:
             beta = feasible_level(self.beta, self.m)
         except ValueError as exc:

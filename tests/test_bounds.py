@@ -18,6 +18,7 @@ from kqrk.bounds import (
     dqrk_rate_alternative,
     dqrk_rate_original,
     eh_comparison_condition,
+    noise_allowance,
     qrask_coefficient_comparison,
     qrk_error_horizon,
     qrk_general_horizon,
@@ -28,7 +29,7 @@ from kqrk.bounds import (
     spectral_summary,
     timevar_constants,
 )
-from kqrk.linalg import DenseMatrix, SigmaQMinResult
+from kqrk.linalg import DenseMatrix, NonIntegerQuantileError, SigmaQMinResult
 from kqrk.solvers import InvalidRegimeError
 
 from _oracles import (
@@ -569,6 +570,16 @@ class TestGeneralHorizon:
         s = _summary(20, 3, 4.0, 2.0)
         rec = qrk_general_horizon(s, params, np.zeros(20))
         assert rec.value("noise_allowance") == 0.0
+
+    def test_noise_allowance(self):
+        eps = np.array([5.0, -25.0, 3.0, -1.0])
+        assert noise_allowance(eps, 0) == 25.0
+        assert noise_allowance(eps, Fraction(1, 4)) == 5.0
+        assert noise_allowance(eps, 0.5) == 3.0  # a level read by as_level
+        with pytest.raises(InvalidRegimeError, match="exceeds the vector length"):
+            noise_allowance(eps, 1)
+        with pytest.raises(NonIntegerQuantileError):
+            noise_allowance(eps, Fraction(1, 3))
 
 
 class TestEhComparison:

@@ -236,6 +236,30 @@ class TestSolve:
         assert doc["parameters"]["q"] == "4/5"
         assert doc["snapped"]["q"]["requested"] == "81/100"
 
+    @pytest.mark.parametrize(
+        "flags,parameters,snapped",
+        [
+            (["--method", "rk"],
+             {"method": "rk", "q": None, "q0": None}, None),
+            (["--method", "dqrk", "--q", "0.81", "--q0", "3/5"],
+             {"method": "dqrk", "q": "4/5", "q0": "3/5"},
+             {"q": {"requested": "81/100", "used": "4/5"}}),
+        ],
+        ids=["rk", "dqrk_snapped_q"],
+    )
+    def test_manifest_parameters(self, tmp_path, flags, parameters, snapped):
+        bundle = _gen(tmp_path)
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", "--problem", str(bundle), *flags, "--iters", "30",
+                     "--trace", str(trace)]) == 0
+        doc = json.loads((tmp_path / "trace.manifest.json").read_text())
+        assert doc["parameters"] == {
+            "problem": str(bundle), **parameters, "iters": 30, "x0": "default",
+            "residual_mode": "full",
+        }
+        assert doc["seeds"] == {"seed": 0}
+        assert doc.get("snapped") == snapped
+
     def test_unknown_method(self, tmp_path, capsys):
         bundle = _gen(tmp_path)
         rc = main(
@@ -321,8 +345,12 @@ class TestBounds:
         assert sq["mode"] == "sampled"
         assert sq["is_upper_bound_only"] is True
 
-    def test_exact_mode_over_cap_suggests_sampling(self, tmp_path, capsys):
+    def test_exact_mode_over_cap_suggests_sampling(self, tmp_path, capsys, monkeypatch):
+        # refused before the full SVD, as an over-budget table is
+        from kqrk import bounds
+
         bundle = _gen(tmp_path, m=100, n=3, beta="1/100", scale="20")
+        monkeypatch.setattr(bounds, "singular_extremes", None)
         rc = main(
             [
                 "bounds",
@@ -333,6 +361,32 @@ class TestBounds:
         )
         assert rc == 2
         assert "--sigma-mode sampled:N instead" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags,parameters,snapped",
+        [
+            (["--q", "1/2", "--q0", "1/4"],
+             {"beta": "1/12", "q": "1/2", "q0": "1/4", "sigma_mode": "exact"}, None),
+            (["--beta", "0.09", "--q", "1/2"],
+             {"beta": "1/12", "q": "1/2", "q0": None, "sigma_mode": "exact"},
+             {"beta": {"requested": "9/100", "used": "1/12"}}),
+            (["--q", "1/2", "--sigma-mode", "sampled:0200", "--seed", "3"],
+             {"beta": "1/12", "q": "1/2", "q0": None, "sigma_mode": "sampled:200"}, None),
+        ],
+        ids=["beta_from_bundle", "beta_flag_snapped", "sampled"],
+    )
+    def test_manifest_parameters(self, tmp_path, capsys, flags, parameters, snapped):
+        bundle = _gen(tmp_path, m=12, n=2, beta="1/12", scale="20")
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert main(["bounds", "--problem", str(bundle), *flags, "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "report.manifest.json").read_text())
+        assert doc["parameters"] == {"problem": str(bundle), **parameters}
+        assert doc["seeds"] == {"seed": 3 if "--seed" in flags else 0}
+        assert doc.get("snapped") == snapped
+        err = capsys.readouterr().err
+        assert ("nearest feasible beta" in err) == (snapped is not None)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled:50"])
     def test_product_table_over_budget_exits_2_before_the_svd(
@@ -544,6 +598,40 @@ class TestExperiment:
         assert doc["outputs"].keys() == {
             "data.csv", "data_gaussian.csv", "plot.svg", "result.json"
         }
+
+
+_SMALL = ["--m", "40", "--n", "4", "--iters", "50", "--window", "10"]
+_FIG3 = ["experiment", "fig3", *_SMALL, "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,fault",
+    [
+        (["gen", "--m", "40", "--n", "4", "--beta", "1/20", "--scale", "inf"],
+         "corruption_scale must be finite"),
+        (["gen", "--m", "40", "--n", "4", "--noise", "nan"], "noise_stddev must be finite"),
+        ([*_FIG3, "--scales", "1,inf"], "scales must be finite"),
+        ([*_FIG3, "--scales", "1,-5"], "scales must be finite"),
+        ([*_FIG3, "--scales", "1,nan"], "scales must be finite"),
+        (["experiment", "fig2", *_SMALL, "--scale", "nan"], "scales must be finite"),
+        (["experiment", "fig2", *_SMALL, "--noise", "inf"], "scales must be finite"),
+    ],
+    ids=["gen_scale_inf", "gen_noise_nan", "fig3_inf", "fig3_negative", "fig3_nan",
+         "fig2_scale_nan", "fig2_noise_inf"],
+)
+def test_non_finite_scale_is_refused_before_any_job(tmp_path, capsys, monkeypatch, argv, fault):
+    from kqrk import cli, experiments
+
+    def never(spec):
+        pytest.fail("a problem was generated")
+
+    monkeypatch.setattr(experiments, "generate", never)
+    monkeypatch.setattr(cli, "generate", never)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fault in err
+    assert not out.exists()
 
 
 class TestVerifyUsage:

@@ -28,7 +28,6 @@ from kqrk.linalg import (
     TooManySubsetsError,
     ZeroRowError,
     as_level,
-    check_product_table,
     feasible_level,
     frobenius_sq,
     quantile,
@@ -294,18 +293,18 @@ class TestSigmaQMin:
         # Refused before any allocation, in both modes; a level with an
         # analytic shortcut needs no table and is not refused.
         dm = rand_matrix(np.random.default_rng(6), 12, 3)
+        empty = np.empty
         monkeypatch.setattr(linalg, "PRODUCT_TABLE_BUDGET_BYTES", 8 * 12 * 6 - 1)
         monkeypatch.setattr(np, "empty", None)  # the table's allocation would fail
         with pytest.raises(ProductTableTooLargeError, match="table of 576 bytes"):
             sigma_q_min_exact(dm, Fraction(1, 2))
         with pytest.raises(ProductTableTooLargeError):
             sigma_q_min_sampled(dm, Fraction(1, 2), 10, seed=1)
-        with pytest.raises(ProductTableTooLargeError):
-            check_product_table(dm, Fraction(1, 2))
-        check_product_table(dm, Fraction(2, 12))
         assert sigma_q_min_exact(dm, Fraction(2, 12)).value == 0.0
+        # a table of exactly the budget is built
         monkeypatch.setattr(linalg, "PRODUCT_TABLE_BUDGET_BYTES", 8 * 12 * 6)
-        check_product_table(dm, Fraction(1, 2))
+        monkeypatch.setattr(np, "empty", empty)
+        assert sigma_q_min_exact(dm, Fraction(1, 2)).subsets_examined == 924
 
     def test_sampled_is_upper_bound(self):
         rng = np.random.default_rng(7)
