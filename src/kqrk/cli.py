@@ -45,7 +45,7 @@ from .linalg import (
     as_level,
     snap_level,
 )
-from .problems import GenSpec, InvalidSpecError, generate
+from .problems import GenSpec, InvalidSpecError, check_shape, generate
 from .serialize import (
     VECTOR_NAMES,
     ContainerFormatError,
@@ -280,6 +280,7 @@ _GEN_OPTS = [
 def cmd_gen(ns: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     opt = resolve_opts(ns, _GEN_OPTS)
+    check_shape(opt["m"], opt["n"])
     snaps = _snap_levels(opt, _GEN_OPTS, opt["m"])
     spec = GenSpec(**_fields(opt, _GEN_OPTS), seed=opt["seed"])
     problem = generate(spec)
@@ -419,7 +420,9 @@ def cmd_experiment(ns: argparse.Namespace, argv: list[str]) -> int:
         raise UsageError("--desk and --paper are mutually exclusive")
     profile = "paper" if ns.paper else "desk"
     factory = paper_profile if ns.paper else desk_profile
-    m = opt["m"] if opt["m"] is not None else factory(figure).m  # the profile's
+    base = factory(figure)  # the profile's shape, unless overridden
+    m = opt["m"] if opt["m"] is not None else base.m
+    check_shape(m, opt["n"] if opt["n"] is not None else base.n)
     snaps = _snap_levels(opt, _EXPERIMENT_OPTS, m)
     overrides = {k: v for k, v in _fields(opt, _EXPERIMENT_OPTS).items() if v is not None}
     spec = factory(figure, seed=opt["seed"], **overrides)

@@ -30,6 +30,7 @@ from .problems import (
     CorruptedProblem,
     GenSpec,
     InvalidSpecError,
+    check_shape,
     generate,
     ordered_magnitude,
 )
@@ -119,6 +120,7 @@ class ExperimentSpec:
             raise InvalidSpecError("iterations must be positive")
         if not 1 <= self.horizon_window <= self.iterations + 1:
             raise InvalidSpecError("horizon_window must fit inside the trace")
+        check_shape(self.m, self.n)
         # snap-or-raise happens in the CLI; here the levels must be exact
         for name, lvl in (("beta", self.beta), ("q0", self.q0), ("q", self.q)):
             object.__setattr__(self, name, feasible_level(lvl, self.m))

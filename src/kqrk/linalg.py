@@ -25,7 +25,11 @@ Conventions used throughout the package:
   and forms their Gram matrices by one BLAS product per chunk.  The
   screen rules subsets out in three stages.  A batched Cholesky
   threshold test first clears every subset whose Gram matrix is
-  provably above the running minimum; the rest are screened in batches
+  provably above the running minimum.  It is one pass over the whole
+  stack with no checks along the way: a matrix whose pivot fails turns
+  NaN or infinite on its own, never touching its neighbours, and the
+  verdict rests on all of a matrix's pivots being positive, which is all
+  the backward-error bound needs.  The rest are screened in batches
   by the smallest eigenvalue of their Gram matrices; and every subset
   that neither stage can rule out within a proven slack is re-solved by
   SVD.  The reported value is always an SVD value, the same one, bit for
@@ -508,36 +512,40 @@ def _cholesky_clears_into(packed: np.ndarray, n: int, c: float) -> np.ndarray:
 
     Row e of ``packed`` holds entry e of every matrix in the stack, the
     entries of one triangle in ``np.triu_indices(n)`` order, so every
-    step works on contiguous vectors as long as the stack.  Runs a column
-    Cholesky with square roots on G - c I for the whole stack at once and
-    returns True for each matrix whose every pivot is > 0; a NaN pivot
-    fails.  A matrix that fails is frozen: its pivot is taken as
-    infinite, so its column divides to zero and it no longer changes, and
-    it never clears.  A matrix is also frozen, before the division, when
-    an entry below the pivot d has a square above d times its own
-    diagonal: that diagonal would turn negative, so a later pivot would
-    fail anyway.  That check bounds every column entry of an unfrozen
-    matrix by the root of the largest diagonal entry D of G - c I, so no
-    entry moves by more than n D in all, and finite input raises no
-    floating-point warning.
+    step works on contiguous vectors as long as the stack.  One pass of a
+    column Cholesky with square roots runs on G - c I for the whole stack
+    at once, and the result is True for each matrix whose every pivot is
+    > 0; a NaN pivot fails.  Step j divides the entries (j, i), i > j, by
+    the root of pivot (j, j), giving r_i, and takes the rank-one product
+    from the trailing triangle, which is every packed row past row j's:
+    entry (i, k) loses r_i r_k.  That is two gathers of the column by the
+    triangle's own indices, one product and one subtraction, whatever n
+    is.  At n = 20 that is about a quarter of the numpy calls that one
+    update per trailing row takes; at n = 4 it is as many calls, plus the
+    gathers' copies.
+
+    Step j writes only rows past (j, j), so each diagonal entry ends as
+    the pivot that was used, and the verdict reads them all at the end.
+    A matrix whose pivot is <= 0 or NaN gets a zero or NaN root, so its
+    column and every later entry may turn NaN or infinite, but that
+    pivot is never written again and the matrix fails.  Every operation
+    is elementwise along the stack, so a failing matrix never changes
+    its neighbours; the pass runs with floating-point warnings off.
     """
     # starts[i]: the packed row of entry (i, i), followed by (i, i+1..n-1)
     starts = [i * n - i * (i - 1) // 2 for i in range(n)]
-    diagonal = np.array(starts)
-    for i in starts:
-        packed[i] -= c
-    ok = np.ones(packed.shape[1], dtype=bool)
-    for j, start in enumerate(starts):
-        pivot = packed[start]
-        ok &= pivot > 0
-        if j == n - 1:
-            break
-        below = packed[start + 1:start + n - j]
-        ok &= (below * below <= pivot * packed[diagonal[j + 1:]]).all(axis=0)
-        col = below / np.sqrt(np.where(ok, pivot, np.inf))
-        for r, i in enumerate(starts[j + 1:]):
-            packed[i:i + len(col) - r] -= col[r] * col[r:]
-    return ok
+    # np.triu_indices(n), at a third of its cost per call
+    rows, cols = np.tri(n, dtype=bool).T.nonzero()
+    with np.errstate(all="ignore"):
+        packed[starts] -= c
+        for j, start in enumerate(starts[:-1]):
+            packed[start + 1:start + n - j] /= np.sqrt(packed[start])
+            # column entry (j, i) sits at packed row start - j + i
+            column, tail = packed[start - j:], starts[j + 1]
+            update = column.take(rows[tail:], axis=0)
+            update *= column.take(cols[tail:], axis=0)
+            packed[tail:] -= update
+    return (packed[starts] > 0).all(axis=0)
 
 
 def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: int = 0) -> float:
@@ -561,11 +569,19 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
       most g, for which the low sums (8 C(m, h) n (n + 1) / 2 bytes) fit
       in half of GATHER_BUDGET_BYTES; at h = 1 they are P itself.  A
       chunk holds GATHER_BUDGET_BYTES / (8 (n (n + 1) / 2 + 2 n**2))
-      subsets: their packed Gram matrices and the test's work arrays.
+      subsets: their packed Gram matrices, n (n + 1) / 2 rows, and at
+      most 2 n**2 rows of work arrays.  Those are the block's top sums
+      (at most n (n + 1) / 2 rows) and the Cholesky test's temporaries,
+      the largest of which are its two gathered copies of the
+      n (n - 1) / 2-row trailing triangle at the first column:
+      n (n + 1) / 2 + n (n - 1) <= 2 n**2.
     * Sampled subsets share no prefixes, so each chunk's Gram matrices
       come from one BLAS product P W, where column s of the m-by-N 0/1
       matrix W marks the rows of subset s (those it keeps when
-      dropping), with N = GATHER_BUDGET_BYTES / (8 (m + 2 n**2)).
+      dropping), with N = GATHER_BUDGET_BYTES / (8 (m + 2 n**2)).  W
+      and the product (m + n (n + 1) / 2 rows) are alive together; W is
+      then dropped, and the product, the test's copy of it and the
+      test's temporaries take n (n + 1) + n (n - 1) = 2 n**2 rows.
 
     The working set is P (8 m n (n + 1) / 2 bytes, built once), in exact
     mode the low sums (at most half the budget), one chunk's arrays
@@ -632,7 +648,10 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     since 2 n (n + 1) + 3 <= 4 n (n + 1) and CHOLESKY_SLACK = 16 leaves a
     safety factor.  The Gram-formation and SVD errors above are part of
     tau, so s**2 >= lambda_min(Gc) - tau > b**2: a cleared subset has
-    s > b and cannot be the minimum.
+    s > b and cannot be the minimum.  The bound asks only that every
+    computed pivot of the run be positive, so the test checks nothing
+    while it runs: it reads the pivots once at the end, and a run that
+    met a pivot <= 0 or NaN fails, whatever it computed after it.
 
     Every subset that passes all three cuts is re-solved, which always
     includes a subset attaining the minimum SVD value, so the result

@@ -22,6 +22,7 @@ __all__ = [
     "GenSpec",
     "CorruptedProblem",
     "InvalidSpecError",
+    "check_shape",
     "generate",
     "canonical_decomposition",
     "ordered_magnitude",
@@ -34,6 +35,12 @@ B_T_TOLERANCE = 1e-10
 
 class InvalidSpecError(ValueError):
     """A generation or experiment spec violates its invariants."""
+
+
+def check_shape(m: int, n: int) -> None:
+    """Refuse a shape other than m >= n >= 1, before any level is read against m."""
+    if n < 1 or m < n:
+        raise InvalidSpecError(f"need m >= n >= 1, got m={m}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < self.n:
-            raise InvalidSpecError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
+        check_shape(self.m, self.n)
         if self.ensemble not in ENSEMBLES:
             raise InvalidSpecError(f"unknown ensemble {self.ensemble!r}")
         if not 0 <= self.corruption_scale < math.inf:

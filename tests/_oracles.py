@@ -81,6 +81,39 @@ def brute_sigma_q_min(a: np.ndarray, q: Fraction) -> float:
     return best
 
 
+def freeze_scan_clears(gram: np.ndarray, c: float) -> np.ndarray:
+    """Which matrices G in a stack exceed c I, by a Cholesky test that freezes.
+
+    The batched column Cholesky on G - c I with a running mask, as the
+    package ran it before its one-pass test: a matrix is frozen when a
+    pivot is not > 0, or when an entry below the pivot d has a square
+    above d times its own diagonal (that diagonal would turn negative).
+    A frozen matrix takes its pivot as infinite, so its column divides to
+    zero and it no longer changes.  Every step a matrix takes while
+    unfrozen is the arithmetic of the one-pass test, in the same order,
+    so a matrix this clears, the one-pass test clears too.
+    """
+    n = gram.shape[1]
+    rows, cols = np.triu_indices(n)
+    packed = gram[:, cols, rows].T.copy()
+    starts = [i * n - i * (i - 1) // 2 for i in range(n)]
+    diagonal = np.array(starts)
+    for i in starts:
+        packed[i] -= c
+    ok = np.ones(packed.shape[1], dtype=bool)
+    for j, start in enumerate(starts):
+        pivot = packed[start]
+        ok &= pivot > 0
+        if j == n - 1:
+            break
+        below = packed[start + 1:start + n - j]
+        ok &= (below * below <= pivot * packed[diagonal[j + 1:]]).all(axis=0)
+        col = below / np.sqrt(np.where(ok, pivot, np.inf))
+        for r, i in enumerate(starts[j + 1:]):
+            packed[i:i + len(col) - r] -= col[r] * col[r:]
+    return ok
+
+
 # ---------------------------------------------------------------- mpmath
 # Raw-definition constants in 60-digit arithmetic.  All level arguments
 # are Fractions so nothing is lost converting to mpf.

@@ -634,6 +634,23 @@ def test_non_finite_scale_is_refused_before_any_job(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,shape",
+    [
+        (["gen", "--m", "0", "--n", "1"], "m=0, n=1"),
+        (["experiment", "fig1", "--m", "0"], "m=0, n=200"),
+        (["experiment", "fig1", "--m", "0", "--q", "0.8"], "m=0, n=200"),
+    ],
+    ids=["gen", "fig1", "fig1_q"],
+)
+def test_empty_shape_is_a_validation_error(tmp_path, capsys, argv, shape):
+    # The shape is checked before any level is snapped or read against m.
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: need m >= n >= 1, got {shape}\n"
+    assert not out.exists()
+
+
 class TestVerifyUsage:
     def test_requires_exactly_one_target(self, tmp_path, capsys):
         assert main(["verify"]) == 2

@@ -87,6 +87,9 @@ class TestSpec:
             {"q0": Fraction(9, 10)},  # q0 > q
             {"noise_stddev": -1.0},
             {"corruption_scale": -2.0},
+            {"m": 0},  # refused as a shape, before the levels are read against m
+            {"n": 0},
+            {"m": 3, "n": 4},
         ],
     )
     def test_rejects(self, over):

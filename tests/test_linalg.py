@@ -464,6 +464,41 @@ class TestCholeskyClears:
             got = _cholesky_clears(gram, 0.5)
             assert got.tolist() == [True, False, True, True, False, False]
 
+    @given(gram_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_clears_whatever_the_freeze_scan_clears(self, case):
+        # The one-pass test drops the freeze scan's checks, never its
+        # arithmetic, so it can only clear more.
+        gram, _, c = case
+        frozen = orc.freeze_scan_clears(gram, c)
+        assert not (frozen & ~_cholesky_clears(gram, c)).any()
+
+    @given(gram_stacks(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_failing_neighbours_change_no_verdict(self, case, data):
+        # NaN, indefinite and overflowing matrices, each put at a random
+        # place in the stack, fail on their own and leave the rest alone.
+        gram, _, c = case
+        count, n, _ = gram.shape
+        hostile = {
+            "nan": np.full((n, n), np.nan),
+            "indefinite": -np.eye(n),
+            "1e80": np.full((n, n), 1e80) - 1e80 * np.eye(n),
+            "overflow": (c + 1.0) * np.eye(n) + 1e200 * (1 - np.eye(n)),  # its update overflows
+        }
+        kinds = data.draw(st.lists(st.sampled_from(sorted(hostile)), min_size=1, max_size=4))
+        places = sorted(data.draw(st.integers(0, count)) for _ in kinds)
+        stack = np.insert(gram, places, np.array([hostile[k] for k in kinds]), axis=0)
+        mine = np.ones(len(stack), dtype=bool)
+        mine[np.array(places) + np.arange(len(kinds))] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = _cholesky_clears(gram, c)
+            together = _cholesky_clears(stack, c)
+        np.testing.assert_array_equal(together[mine], alone)
+        if n > 1:
+            assert not together[~mine].any()
+
 
 class TestSubsetEngine:
     @given(screen_cases())
