@@ -40,7 +40,7 @@ for cfg in configs:
     plateau = horizon_estimate(trace, window=100)
     print(f"{cfg.method:>5}: final |x - x*|^2 = {trace.sq_errors[-1]:.3e}   "
           f"plateau over last 100 states = {plateau:.3e}   "
-          f"admissible set size = {int(trace.admissible_sizes[0])}")
+          f"admissible set size = {trace.admissible_size}")
 
 # With eta = 0 and sparse corruption the quantile methods recover x*
 # exactly (to machine precision) while rk orbits the corruption level.

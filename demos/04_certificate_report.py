@@ -1,9 +1,10 @@
 """Evaluating every convergence certificate for one concrete instance.
 
 The bounds module turns a system's singular data plus the corruption
-parameters (beta, q, q0) into a report of named records: per-step decay
-constants, error-horizon radii, head-to-head comparisons of alternative
-forms, and the side conditions under which each is certified.  Exact
+parameters (beta, q, q0) into named records: per-step decay constants,
+error-horizon radii, head-to-head comparisons of alternative forms, and
+the side conditions under which each is certified.  ``build_report``
+evaluates all that apply; ``certificate(name, ...)`` evaluates one.  Exact
 subset enumeration makes a verdict a real certificate; sampled subset
 minima only ever certify failure (the value is an upper bound, so a
 satisfied condition stays "unknown").
@@ -20,8 +21,8 @@ from kqrk import (
     SigmaQMinResult,
     SpectralSummary,
     build_report,
+    certificate,
     generate,
-    qrk_rate_original,
     robust_params,
     row_normalize,
     spectral_summary,
@@ -81,6 +82,6 @@ for mode, upper_only in (("exact", False), ("sampled", True)):
         m=100, n=5, sigma_max=3.0, sigma_min=1.0, frobenius_sq=100.0,
         sigma_q_beta_min=SigmaQMinResult(2.0, mode, 50, upper_only),
     )
-    rec = qrk_rate_original(summary2, mild)
+    rec = certificate("qrk_rate_original", summary2, mild)
     print(f"same numbers, sigma mode {mode:>7}: condition ->",
           {True: "holds", False: "fails", None: "unknown"}[rec.condition_satisfied])

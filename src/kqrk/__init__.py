@@ -27,7 +27,7 @@ from .solvers import SolverConfig, horizon_estimate, run
 from .bounds import (
     SpectralSummary,
     build_report,
-    qrk_rate_original,
+    certificate,
     robust_params,
     spectral_summary,
 )
@@ -59,7 +59,7 @@ __all__ = [
     # bounds
     "SpectralSummary",
     "build_report",
-    "qrk_rate_original",
+    "certificate",
     "robust_params",
     "spectral_summary",
     # experiments

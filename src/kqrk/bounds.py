@@ -1,7 +1,12 @@
 """Certificates for the solvers: decay constants, conditions, horizons.
 
-Every operation evaluates one theoretical guarantee for a concrete
-(A, beta, q, q0).  The sparsity level ``beta`` is an input assumption,
+Every record evaluates one theoretical guarantee for a concrete
+(A, beta, q, q0).  The records are the rows of one ordered table,
+``_TABLE``: each row gives the record's kind (the rk, qrk or dqrk params
+it takes), the subset minima and inputs it reads, and its evaluator.
+``certificate(name, summary, params, ...)`` checks one row's minima,
+inputs and kind, then evaluates it; ``build_report`` walks the table in
+record order.  The sparsity level ``beta`` is an input assumption,
 deliberately decoupled from any particular corruption vector; use
 ``CorruptedProblem.minimal_beta()`` to infer the smallest feasible level
 for a realized instance.
@@ -32,7 +37,7 @@ a level the subset engine refuses costs no SVD.  The noise allowance,
 the (beta m + 1)-th largest |epsilon_i|, is worked out once, by
 ``noise_allowance``: the general horizon records it, and the EH
 comparison reads C, the noise coefficient and the allowance from that
-record.  ``build_report`` walks one table of certificates in record order.
+record.
 
 ``quantile_bounds`` is evaluated after a run, on a realized instance: it
 maps a trace's squared errors to the sparse and noisy ceilings on the
@@ -41,8 +46,9 @@ q-quantile residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,20 +78,8 @@ __all__ = [
     "FORM_AGREEMENT_RTOL",
     "robust_params",
     "spectral_summary",
-    "rk_horizon",
-    "qrk_rate_original",
-    "qrk_rate_alternative",
-    "compare_qrk_rates",
-    "qrk_error_horizon",
     "noise_allowance",
-    "qrk_general_horizon",
-    "eh_comparison_condition",
-    "timevar_constants",
-    "qrask_coefficient_comparison",
-    "dqrk_rate_original",
-    "dqrk_rate_alternative",
-    "compare_dqrk_rates",
-    "dqrk_error_horizon",
+    "certificate",
     "quantile_bounds",
     "build_report",
 ]
@@ -255,30 +249,13 @@ def _certify(lhs: float, rhs: float, exact: bool) -> bool | None:
         return bool(lhs < rhs)
     return None if lhs < rhs else False
 
-
-def _need(summary: SpectralSummary, *, q0: bool = False) -> None:
-    if summary.sigma_q_beta_min is None:
-        raise ValueError("summary lacks the subset minimum at level q - beta")
-    if q0 and summary.sigma_q0_beta_min is None:
-        raise ValueError("summary lacks the subset minimum at level q0 - beta")
-
-
-def rk_horizon(
-    summary: SpectralSummary,
-    eta_plus_xi: np.ndarray,
-    row_norms: np.ndarray | None = None,
-) -> BoundRecord:
-    """Plain-solver certificate: geometric decay plus a stall radius.
-
-    decay = 1 - sigma_min^2 / |A|_F^2 and the squared-error plateau is
-    (|A|_F^2 / sigma_min^2) * max_j (eta + xi)_j^2 / |a_j|^2.
-    """
+def _rk_horizon(summary, params, *, epsilon, row_norms, **_):
     if summary.sigma_min < RANK_TOLERANCE * summary.sigma_max:
         raise FullRankViolationError(
             f"sigma_min = {summary.sigma_min!r} is below the full-rank "
             f"threshold {RANK_TOLERANCE!r} * sigma_max"
         )
-    eps = np.asarray(eta_plus_xi, dtype=np.float64).ravel()
+    eps = np.asarray(epsilon, dtype=np.float64).ravel()
     norms_sq = (
         np.ones(eps.size)
         if row_norms is None
@@ -288,15 +265,10 @@ def rk_horizon(
     decay = 1.0 - smin_sq / summary.frobenius_sq
     worst = float(np.max(eps**2 / norms_sq)) if eps.size else 0.0
     horizon = (summary.frobenius_sq / smin_sq) * worst
-    return BoundRecord(
-        name="rk_horizon",
-        values={"decay_factor": decay, "horizon": horizon},
-        condition_satisfied=True,
-        condition_mode="exact",
-    )
+    return {"decay_factor": decay, "horizon": horizon}, True, "exact", {}
 
 
-def _floats(summary: SpectralSummary, params: RobustParams, dq: bool) -> SimpleNamespace:
+def _floats(summary: SpectralSummary, params: RobustParams) -> SimpleNamespace:
     """The floats every qrk/dqrk constant reads, from one (summary, params).
 
     ``gap``/``top`` are q and q - beta for qrk, q - q0 and q - q0 - beta for dqrk;
@@ -309,7 +281,7 @@ def _floats(summary: SpectralSummary, params: RobustParams, dq: bool) -> SimpleN
         slack=float(1 - params.q - params.beta),
     )
     f.rm, f.rr, f.rs = math.sqrt(f.m), math.sqrt(f.r), math.sqrt(f.slack)
-    if dq:
+    if params.q0 is not None:
         f.q0 = float(params.q0)
         f.gap = float(params.q - params.q0)
         f.top = float(params.q - params.q0 - params.beta)
@@ -352,7 +324,7 @@ def _penalty(f, name: str) -> float:
     return factor(f) * math.fsum(terms(f))
 
 
-def _decay(f, name: str, q0_term: bool, what: str) -> tuple[float, float, float]:
+def _decay(f, name: str, q0_term: bool) -> tuple[float, float, float]:
     """(C, condition_lhs, condition_rhs) for one penalty, C and lhs by both routes.
 
     The lead carries the subset minimum at q - beta and, if ``q0_term``, at q0 - beta.
@@ -368,88 +340,40 @@ def _decay(f, name: str, q0_term: bool, what: str) -> tuple[float, float, float]
     press = _penalty(f, name)
     c = math.fsum([f.p * math.fsum(lead), -press])
     c_raw = math.fsum(lead_raw + [-factor(f) * math.fsum(raw(f))])
-    _agree(c, c_raw, f.p * math.fsum(lead) + press, f"{what} C")
+    _agree(c, c_raw, f.p * math.fsum(lead) + press, f"{name} C")
     lhs = f.cond * math.fsum(cond(f))
     lhs_raw = (f.q / f.top) * math.fsum(cond_raw(f))
-    _agree(lhs, lhs_raw, abs(lhs), f"{what} condition lhs")
+    _agree(lhs, lhs_raw, abs(lhs), f"{name} condition lhs")
     return c, lhs, math.fsum(rhs)
 
 
-def _kind(params: RobustParams, dq: bool) -> None:
-    if dq and params.q0 is None:
-        raise InvalidRegimeError("dqrk bounds need double-quantile params")
-    if not dq and params.q0 is not None:
-        raise InvalidRegimeError("qrk bounds take single-quantile params")
-
-
-def _certificate(
-    summary: SpectralSummary, params: RobustParams, penalty: str, dq: bool, name: str,
-    *, eta_inf: float | None = None, flags: dict | None = None,
-) -> BoundRecord:
+def _certificate(summary, params, *, penalty, eta_inf=None, x0_on_hyperplane=None, **_):
     """A decay-constant record, or for the horizon penalty an error horizon.
 
     dqrk rates carry the q0 - beta lead term; horizons read only q - beta.
-    The horizon is (1/C)(2 r (1-q)/gap + 1) eta_inf^2, defined when C > 0.
     """
+    dq = params.q0 is not None
     horizon = penalty == "horizon"
     q0_term = dq and not horizon
-    _need(summary, q0=q0_term)
-    _kind(params, dq)
     if horizon and eta_inf < 0:
         raise ValueError("eta_inf must be nonnegative")
-    f = _floats(summary, params, dq)
-    c, lhs, rhs = _decay(f, penalty, q0_term, name)
+    f = _floats(summary, params)
+    c, lhs, rhs = _decay(f, penalty, q0_term)
     exact = summary.exactness(need_q0=q0_term)
     verdict = _certify(lhs, rhs, exact)
     values = {"C": c, "condition_lhs": lhs, "condition_rhs": rhs}
+    flags = {}
+    if dq and penalty == "alternative" and x0_on_hyperplane is not None:
+        flags["x0_on_hyperplane"] = bool(x0_on_hyperplane)
     if horizon:
         coef = 2.0 * f.r * (1.0 - f.q) / f.gap + 1.0
         values = {"C": c, "coefficient": coef, "condition_lhs": lhs, "condition_rhs": rhs}
-        flags = {"non_positive_C": bool(c <= 0.0)}
+        flags["non_positive_C"] = bool(c <= 0.0)
         if c > 0.0:
             values["horizon"] = (coef / c) * eta_inf * eta_inf
         if not dq and verdict is True and params.q > Fraction(1, 2):
             flags["coefficient_below_two"] = bool(coef < 2.0)
-    return BoundRecord(
-        name=name,
-        values=values,
-        condition_satisfied=verdict,
-        condition_mode="exact" if exact else "sampled",
-        flags={} if flags is None else flags,
-    )
-
-
-def _comparison(summary: SpectralSummary, params: RobustParams, dq: bool) -> BoundRecord:
-    """alpha = 1 - p * lead + penalty for the alternative and original penalties."""
-    f = _floats(summary, params, dq)
-    if dq:
-        base = f.p * math.fsum([f.sq2 / (f.q * f.m), f.sq02 / (f.q0 * f.m * f.q * f.m)])
-    else:
-        base = f.p * f.sq2 / (f.q * f.m)
-    alpha1 = math.fsum([1.0, -base, _penalty(f, "alternative")])
-    alpha2 = math.fsum([1.0, -base, _penalty(f, "original")])
-    return BoundRecord(
-        name="dqrk_rate_comparison" if dq else "qrk_rate_comparison",
-        values={"alpha1": alpha1, "alpha2": alpha2},
-        condition_satisfied=_comparison_hypotheses(summary, params),
-        condition_mode="exact",
-        flags={"alpha1_lt_alpha2": bool(alpha1 < alpha2)},
-    )
-
-
-def qrk_rate_original(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
-    """Per-step decay constant of the single-quantile solver.
-
-    Expected squared error contracts by (1 - C) per step when the
-    condition holds; C couples the subset minimum at level q - beta
-    against the corruption pressure carried by sigma_max.
-    """
-    return _certificate(summary, params, "original", False, "qrk_rate_original")
-
-
-def qrk_rate_alternative(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
-    """Variant decay constant with a milder corruption penalty."""
-    return _certificate(summary, params, "alternative", False, "qrk_rate_alternative")
+    return values, verdict, "exact" if exact else "sampled", flags
 
 
 def _comparison_hypotheses(summary: SpectralSummary, params: RobustParams) -> bool:
@@ -465,24 +389,18 @@ def _comparison_hypotheses(summary: SpectralSummary, params: RobustParams) -> bo
     return summary.sigma_max**2 > threshold
 
 
-def compare_qrk_rates(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
-    """Head-to-head of the two qrk decay factors alpha = 1 - C + penalty.
-
-    When r < 4 and sigma_max^2 clears its threshold, the alternative
-    penalty is strictly the smaller one, so alpha1 < alpha2.
-    """
-    _need(summary)
-    return _comparison(summary, params, False)
-
-
-def qrk_error_horizon(
-    summary: SpectralSummary, params: RobustParams, eta_inf: float
-) -> BoundRecord:
-    """Squared-error plateau of the single-quantile solver under noise.
-
-    horizon = (1/C) * (2 r (1-q)/q + 1) * eta_inf^2, defined when C > 0.
-    """
-    return _certificate(summary, params, "horizon", False, "qrk_error_horizon", eta_inf=eta_inf)
+def _comparison(summary, params, **_):
+    """alpha = 1 - p * lead + penalty for the alternative and original penalties."""
+    f = _floats(summary, params)
+    if params.q0 is not None:
+        base = f.p * math.fsum([f.sq2 / (f.q * f.m), f.sq02 / (f.q0 * f.m * f.q * f.m)])
+    else:
+        base = f.p * f.sq2 / (f.q * f.m)
+    alpha1 = math.fsum([1.0, -base, _penalty(f, "alternative")])
+    alpha2 = math.fsum([1.0, -base, _penalty(f, "original")])
+    flags = {"alpha1_lt_alpha2": bool(alpha1 < alpha2)}
+    verdict = _comparison_hypotheses(summary, params)
+    return {"alpha1": alpha1, "alpha2": alpha2}, verdict, "exact", flags
 
 
 def noise_allowance(epsilon: np.ndarray, beta: Fraction | float) -> float:
@@ -498,60 +416,33 @@ def noise_allowance(epsilon: np.ndarray, beta: Fraction | float) -> float:
     return ordered_magnitude(eps, k + 1)
 
 
-def qrk_general_horizon(
-    summary: SpectralSummary, params: RobustParams, epsilon: np.ndarray
-) -> BoundRecord:
-    """Horizon for an arbitrary total error vector epsilon, at its noise allowance."""
+def _general_horizon(summary, params, *, epsilon, **_):
     allowance = noise_allowance(epsilon, params.beta)
-    record = qrk_error_horizon(summary, params, allowance)
-    return replace(
-        record,
-        name="qrk_general_horizon",
-        values={**record.values, "noise_allowance": allowance},
-    )
+    values, *rest = _certificate(summary, params, penalty="horizon", eta_inf=allowance)
+    return ({**values, "noise_allowance": allowance}, *rest)
 
 
-def eh_comparison_condition(
-    summary: SpectralSummary, params: RobustParams, epsilon: np.ndarray
-) -> BoundRecord:
-    """When does the quantile horizon bound beat the plain one?
-
-    Verdict: eps_(beta*m+1) / eps_(1) < sqrt(C m / (sigma_min^2 coef)), with
-    C, coef and the noise allowance eps_(beta*m+1) read from the general horizon.
-    """
-    _need(summary)
-    _kind(params, False)
+def _eh_comparison(summary, params, *, epsilon, **_):
     top = ordered_magnitude(epsilon, 1)
     if top == 0.0:
         raise ZeroCorruptionError("epsilon is zero; the comparison is vacuous")
     if summary.sigma_min < RANK_TOLERANCE * summary.sigma_max:
         raise FullRankViolationError("comparison needs full column rank")
-    v = qrk_general_horizon(summary, params, epsilon).values
+    v = _general_horizon(summary, params, epsilon=epsilon)[0]
     if v["C"] <= 0.0:
         raise InvalidRegimeError("comparison requires C > 0")
     lhs = v["noise_allowance"] / top
     rhs = math.sqrt(v["C"] * summary.m / (summary.sigma_min**2 * v["coefficient"]))
     exact = summary.exactness()
-    return BoundRecord(
-        name="eh_comparison",
-        values={"lhs_ratio": lhs, "rhs": rhs},
-        condition_satisfied=_certify(lhs, rhs, exact),
-        condition_mode="exact" if exact else "sampled",
-        flags={"qrk_beats_rk": bool(lhs < rhs)},
-    )
+    flags = {"qrk_beats_rk": bool(lhs < rhs)}
+    verdict = _certify(lhs, rhs, exact)
+    return {"lhs_ratio": lhs, "rhs": rhs}, verdict, "exact" if exact else "sampled", flags
 
 
-def timevar_constants(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
-    """Constants of the time-varying-noise analysis, for comparison only.
-
-    Returns phi (its per-step decay), zeta, and the coefficient 1 + zeta m^2
-    that multiplies the noise level there; our own coefficient stays
-    bounded while this one grows with m.
-    """
-    _need(summary)
+def _timevar(summary, params, **_):
     if params.beta == 0:
         raise InvalidRegimeError("time-varying constants need beta > 0")
-    f = _floats(summary, params, False)
+    f = _floats(summary, params)
     m, q, b, r = f.m, f.q, f.b, f.r
     s = math.sqrt(float(1 - params.beta) / b)
     shared = (f.sM / (q * m)) * (1.0 / math.sqrt(b * m)) * math.fsum([r, r * r * s])
@@ -563,27 +454,11 @@ def timevar_constants(summary: SpectralSummary, params: RobustParams) -> BoundRe
         ]
     )
     zeta = math.fsum([shared, r * r / (q * b * m * m)])
-    return BoundRecord(
-        name="timevar_constants",
-        values={
-            "phi": phi,
-            "zeta": zeta,
-            "coefficient_on_noise_sq": 1.0 + zeta * m * m,
-        },
-        condition_satisfied=None,
-        condition_mode=None,
-    )
+    values = {"phi": phi, "zeta": zeta, "coefficient_on_noise_sq": 1.0 + zeta * m * m}
+    return values, None, None, {}
 
 
-def qrask_coefficient_comparison(
-    summary: SpectralSummary, params: RobustParams
-) -> BoundRecord:
-    """Noise coefficient of the sketched competitor vs ours.
-
-    Ours is 2 r (1-q)/q + 1; the competitor's is larger except for at
-    most a factor of 4 on its second term, which is the inequality the
-    flag checks.
-    """
+def _qrask(summary, params, **_):
     if params.beta == 0:
         raise InvalidRegimeError("the comparison needs beta > 0")
     m, n = summary.m, summary.n
@@ -603,52 +478,102 @@ def qrask_coefficient_comparison(
         ]
     )
     holds = bool(ours <= 4.0 * ratio_term)
-    return BoundRecord(
-        name="qrask_coefficient_comparison",
-        values={"qrask_coefficient": qrask, "our_coefficient": ours},
-        condition_satisfied=holds,
-        condition_mode="exact",
-        flags={"ratio_bound_holds": holds},
-    )
+    values = {"qrask_coefficient": qrask, "our_coefficient": ours}
+    return values, holds, "exact", {"ratio_bound_holds": holds}
 
 
-def dqrk_rate_original(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
-    """Per-step decay constant of the double-quantile solver."""
-    return _certificate(summary, params, "original", True, "dqrk_rate_original")
+# Every record, in report order: name -> (kind, minima, inputs, evaluator).
+# A qrk row takes single-quantile params, a dqrk row double-quantile ones,
+# and the rk row reads none.  minima are the subset minima the row reads,
+# at q - beta ("q") and q0 - beta ("q0"); inputs are what else it needs
+# (epsilon, eta_inf).  An evaluator returns the record's (values, verdict,
+# condition mode, flags).
+_TABLE = {
+    # Plain-solver certificate: geometric decay 1 - sigma_min^2 / |A|_F^2
+    # and the squared-error plateau (|A|_F^2 / sigma_min^2) *
+    # max_j epsilon_j^2 / |a_j|^2 (unit rows unless row_norms is given).
+    "rk_horizon": ("rk", (), ("epsilon",), _rk_horizon),
+    # Per-step decay constant of the single-quantile solver: expected
+    # squared error contracts by (1 - C) per step when the condition holds;
+    # C couples the subset minimum at level q - beta against the corruption
+    # pressure carried by sigma_max.
+    "qrk_rate_original": ("qrk", ("q",), (), partial(_certificate, penalty="original")),
+    # The variant decay constant with a milder corruption penalty.
+    "qrk_rate_alternative": ("qrk", ("q",), (), partial(_certificate, penalty="alternative")),
+    # Head-to-head of the two decay factors alpha = 1 - C + penalty: when
+    # r < 4 and sigma_max^2 clears its threshold, the alternative penalty is
+    # strictly the smaller one, so alpha1 < alpha2.
+    "qrk_rate_comparison": ("qrk", ("q",), (), _comparison),
+    # Squared-error plateau under noise: (1/C)(2 r (1-q)/q + 1) eta_inf^2,
+    # defined when C > 0.
+    "qrk_error_horizon": ("qrk", ("q",), ("eta_inf",), partial(_certificate, penalty="horizon")),
+    # The same plateau for an arbitrary total error vector epsilon, at its
+    # noise allowance (``noise_allowance``).
+    "qrk_general_horizon": ("qrk", ("q",), ("epsilon",), _general_horizon),
+    # When does the quantile horizon beat the plain one?  Verdict:
+    # eps_(beta*m+1) / eps_(1) < sqrt(C m / (sigma_min^2 coef)), with C, coef
+    # and the noise allowance eps_(beta*m+1) read from the general horizon.
+    "eh_comparison": ("qrk", ("q",), ("epsilon",), _eh_comparison),
+    # Constants of the time-varying-noise analysis, for comparison only:
+    # phi (its per-step decay), zeta, and the coefficient 1 + zeta m^2 that
+    # multiplies the noise level there; our own coefficient stays bounded
+    # while this one grows with m.
+    "timevar_constants": ("qrk", ("q",), (), _timevar),
+    # Noise coefficient of the sketched competitor vs ours, 2 r (1-q)/q + 1:
+    # theirs is larger except for at most a factor of 4 on its second term,
+    # which is the inequality the flag checks.
+    "qrask_coefficient_comparison": ("qrk", (), (), _qrask),
+    # The double-quantile decay constants and their head-to-head, same gate
+    # as qrk; the lead also carries the subset minimum at q0 - beta.  The
+    # alternative's guarantee assumes the start point lies on one of the row
+    # hyperplanes: what is known of that (x0_on_hyperplane) rides along as
+    # a flag.
+    "dqrk_rate_original": ("dqrk", ("q", "q0"), (), partial(_certificate, penalty="original")),
+    "dqrk_rate_alternative": (
+        "dqrk", ("q", "q0"), (), partial(_certificate, penalty="alternative")
+    ),
+    "dqrk_rate_comparison": ("dqrk", ("q", "q0"), (), _comparison),
+    # Squared-error plateau of the double-quantile solver under noise:
+    # (1/C)(2 r (1-q)/(q-q0) + 1) eta_inf^2, defined when C > 0.
+    "dqrk_error_horizon": ("dqrk", ("q",), ("eta_inf",), partial(_certificate, penalty="horizon")),
+}
 
 
-def dqrk_rate_alternative(
+def certificate(
+    name: str,
     summary: SpectralSummary,
-    params: RobustParams,
+    params: RobustParams | None,
     *,
+    eta_inf: float | None = None,
+    epsilon: np.ndarray | None = None,
+    row_norms: np.ndarray | None = None,
     x0_on_hyperplane: bool | None = None,
 ) -> BoundRecord:
-    """Variant dqrk decay constant with the milder corruption penalty.
+    """Evaluate the record ``name`` of the certificate table (KeyError if none).
 
-    The underlying guarantee also assumes the start point lies on one of
-    the row hyperplanes; pass what is known about that so the record can
-    carry it.
+    ``params`` may be None for rk_horizon, which reads none.  A missing
+    subset minimum or input the row needs is a ValueError, params
+    of the other kind an InvalidRegimeError.  Past those checks a record
+    raises InvalidRegimeError, ZeroCorruptionError or FullRankViolationError
+    where its own preconditions fail.
     """
-    flags = {} if x0_on_hyperplane is None else {"x0_on_hyperplane": bool(x0_on_hyperplane)}
-    return _certificate(summary, params, "alternative", True, "dqrk_rate_alternative", flags=flags)
-
-
-def compare_dqrk_rates(summary: SpectralSummary, params: RobustParams) -> BoundRecord:
-    """Head-to-head of the two dqrk decay factors, same gate as qrk."""
-    _need(summary, q0=True)
-    _kind(params, True)
-    return _comparison(summary, params, True)
-
-
-def dqrk_error_horizon(
-    summary: SpectralSummary, params: RobustParams, eta_inf: float
-) -> BoundRecord:
-    """Squared-error plateau of the double-quantile solver under noise.
-
-    The per-step contraction here induces the plateau
-    (1/C)(2 r (1-q)/(q-q0) + 1) eta_inf^2, defined when C > 0.
-    """
-    return _certificate(summary, params, "horizon", True, "dqrk_error_horizon", eta_inf=eta_inf)
+    kind, minima, inputs, evaluate = _TABLE[name]
+    levels = {"q": summary.sigma_q_beta_min, "q0": summary.sigma_q0_beta_min}
+    for level in minima:
+        if levels[level] is None:
+            raise ValueError(f"summary lacks the subset minimum at level {level} - beta")
+    given = {"eta_inf": eta_inf, "epsilon": epsilon}
+    for key in inputs:
+        if given[key] is None:
+            raise ValueError(f"{name} needs {key}")
+    if kind == "dqrk" and params.q0 is None:
+        raise InvalidRegimeError("dqrk bounds need double-quantile params")
+    if kind == "qrk" and params.q0 is not None:
+        raise InvalidRegimeError("qrk bounds take single-quantile params")
+    fields = evaluate(
+        summary, params, **given, row_norms=row_norms, x0_on_hyperplane=x0_on_hyperplane
+    )
+    return BoundRecord(name, *fields)
 
 
 def quantile_bounds(
@@ -713,35 +638,23 @@ def build_report(
 ) -> BoundReport:
     """Evaluate every certificate that applies, tolerating regime gaps.
 
-    One table of (name, applies, evaluator) rows fixes the record order.
-    Operations whose regime preconditions fail are recorded with a
-    ``not_applicable`` flag instead of aborting the report.
+    The qrk rows read (beta, q) alone, so double-quantile params give them
+    the single-quantile params of the same beta and q.  A row is skipped
+    when its inputs, or for a dqrk row q0, are absent.  Operations whose
+    regime preconditions fail are recorded with a ``not_applicable`` flag
+    instead of aborting the report.
     """
     qrk = params if params.q0 is None else robust_params(params.beta, params.q)
-    eps, eta, dq = epsilon is not None, eta_inf is not None, params.q0 is not None
-    rows = (
-        ("rk_horizon", eps, lambda: rk_horizon(summary, epsilon, row_norms)),
-        ("qrk_rate_original", True, lambda: qrk_rate_original(summary, qrk)),
-        ("qrk_rate_alternative", True, lambda: qrk_rate_alternative(summary, qrk)),
-        ("qrk_rate_comparison", True, lambda: compare_qrk_rates(summary, qrk)),
-        ("qrk_error_horizon", eta, lambda: qrk_error_horizon(summary, qrk, eta_inf)),
-        ("qrk_general_horizon", eps, lambda: qrk_general_horizon(summary, qrk, epsilon)),
-        ("eh_comparison", eps, lambda: eh_comparison_condition(summary, qrk, epsilon)),
-        ("timevar_constants", True, lambda: timevar_constants(summary, qrk)),
-        ("qrask_coefficient_comparison", True,
-         lambda: qrask_coefficient_comparison(summary, qrk)),
-        ("dqrk_rate_original", dq, lambda: dqrk_rate_original(summary, params)),
-        ("dqrk_rate_alternative", dq, lambda: dqrk_rate_alternative(
-            summary, params, x0_on_hyperplane=x0_on_hyperplane)),
-        ("dqrk_rate_comparison", dq, lambda: compare_dqrk_rates(summary, params)),
-        ("dqrk_error_horizon", dq and eta, lambda: dqrk_error_horizon(summary, params, eta_inf)),
-    )
+    given = {"eta_inf": eta_inf, "epsilon": epsilon}
     records: list[BoundRecord] = []
-    for name, applies, evaluate in rows:
-        if not applies:
+    for name, (kind, _, inputs, _) in _TABLE.items():
+        if (kind == "dqrk" and params.q0 is None) or any(given[k] is None for k in inputs):
             continue
         try:
-            records.append(evaluate())
+            records.append(certificate(
+                name, summary, params if kind == "dqrk" else qrk,
+                **given, row_norms=row_norms, x0_on_hyperplane=x0_on_hyperplane,
+            ))
         except (InvalidRegimeError, ZeroCorruptionError, FullRankViolationError) as exc:
             records.append(
                 BoundRecord(

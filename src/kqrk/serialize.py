@@ -386,7 +386,7 @@ def save_trace_csv(path, trace) -> None:
     chosen_index, Q0, Q.  Columns that do not apply stay empty (rk has no
     quantiles; the final state has no chosen index; a trace run without
     residual norms has none)."""
-    states = len(trace.admissible_sizes)
+    states = len(trace.chosen_indices) + 1
     columns = [range(states), trace.sq_errors, trace.residual_norms,
                trace.chosen_indices, trace.quantiles_q0, trace.quantiles_q]
     header = ["k", "sq_error", "residual_norm", "chosen_index", "Q0", "Q"]

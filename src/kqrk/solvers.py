@@ -143,7 +143,8 @@ class RunTrace:
 
     All per-state arrays have length iterations + 1, index 0 being the
     initial state; ``chosen_indices`` has length iterations (the row used
-    to move from state k to state k+1).  Quantile arrays are None for rk.
+    to move from state k to state k+1).  ``admissible_size`` is the number
+    of rows each step picks from.  Quantile arrays are None for rk.
     ``sq_errors`` is None when the true solution is unknown, and
     ``residual_norms`` unless the run was asked for them.
     """
@@ -151,7 +152,7 @@ class RunTrace:
     method: str
     residual_norms: np.ndarray | None
     chosen_indices: np.ndarray
-    admissible_sizes: np.ndarray
+    admissible_size: int
     final_x: np.ndarray
     sq_errors: np.ndarray | None = None
     quantiles_q0: np.ndarray | None = None
@@ -319,7 +320,7 @@ class _Run:
             method=self.method,
             residual_norms=None if self.residual_sq is None else np.sqrt(states(self.residual_sq)),
             chosen_indices=self.chosen[: self.last],
-            admissible_sizes=np.full(self.last + 1, self.k_hi - self.k_lo, dtype=np.int64),
+            admissible_size=self.k_hi - self.k_lo,
             final_x=self.x,
             sq_errors=states(self.sq_errors),
             quantiles_q0=states(self.quants_lo),

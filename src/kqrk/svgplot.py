@@ -26,6 +26,7 @@ PALETTE = (
 )
 THIN_TO = 2000
 
+_SIZE = (720, 540)
 _MARGIN = {"left": 64.0, "right": 16.0, "top": 34.0, "bottom": 46.0}
 _FONT = "DejaVu Sans, Helvetica, sans-serif"
 
@@ -37,14 +38,13 @@ class Series:
     label: str
     x: np.ndarray
     y: np.ndarray
-    color: str | None = None
     marker: str | None = None
 
 
-def _thin(idx_len: int, cap: int) -> np.ndarray:
-    if idx_len <= cap:
+def _thin(idx_len: int) -> np.ndarray:
+    if idx_len <= THIN_TO:
         return np.arange(idx_len)
-    return np.unique(np.round(np.linspace(0, idx_len - 1, cap)).astype(np.intp))
+    return np.unique(np.round(np.linspace(0, idx_len - 1, THIN_TO)).astype(np.intp))
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -81,8 +81,7 @@ def _fmt_lin(v: float) -> str:
         return "0"
     if abs(v) >= 10000 or abs(v) < 0.001:
         return f"{v:.0e}".replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
-    text = f"{v:g}"
-    return text
+    return f"{v:g}"
 
 
 def _px(v: float) -> str:
@@ -134,6 +133,15 @@ def _data_range(values: list[np.ndarray], log: bool) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _text(x: float, y: float, size: int, fill: str, body: str,
+          attrs: str = ' text-anchor="middle"') -> str:
+    """One ``<text>`` element; ``body`` is escaped."""
+    return (
+        f'<text x="{_px(x)}" y="{_px(y)}" font-family="{_FONT}" font-size="{size}" '
+        f'fill="{fill}"{attrs}>{_esc(body)}</text>'
+    )
+
+
 def chart(
     series: list[Series],
     *,
@@ -142,17 +150,14 @@ def chart(
     ylabel: str = "",
     xlog: bool = False,
     ylog: bool = True,
-    width: int = 720,
-    height: int = 540,
-    thin_to: int = THIN_TO,
 ) -> str:
     """Render the series to an SVG string."""
+    width, height = _SIZE
     left, right = _MARGIN["left"], width - _MARGIN["right"]
     top, bottom = _MARGIN["top"], height - _MARGIN["bottom"]
 
     xs = [np.asarray(s.x, dtype=np.float64).ravel() for s in series]
     ys = [np.asarray(s.y, dtype=np.float64).ravel() for s in series]
-    floor = None
     if ylog:
         # points at/below zero get clamped one decade under the positive min,
         # or at the smallest normal float where that decade underflows to 0
@@ -173,50 +178,35 @@ def chart(
     )
     out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
 
-    def grid_and_ticks() -> None:
-        if xlog:
-            xticks = [(10.0**e, e) for e in _log_decades(x_lo, x_hi)]
+    # grid lines and tick labels, x axis first
+    for axis, lo, hi, log in ((ax, x_lo, x_hi, xlog), (ay, y_lo, y_hi, ylog)):
+        if log:
+            ticks = [(10.0**e, f"1e{e}") for e in _log_decades(lo, hi)]
         else:
-            xticks = [(v, None) for v in _linear_ticks(x_lo, x_hi)]
-        if ylog:
-            yticks = [(10.0**e, e) for e in _log_decades(y_lo, y_hi)]
-        else:
-            yticks = [(v, None) for v in _linear_ticks(y_lo, y_hi)]
-        for v, e in xticks:
-            if not (x_lo <= v <= x_hi or math.isclose(v, x_lo) or math.isclose(v, x_hi)):
+            ticks = [(v, _fmt_lin(v)) for v in _linear_ticks(lo, hi)]
+        for v, label in ticks:
+            if not (lo <= v <= hi or math.isclose(v, lo) or math.isclose(v, hi)):
                 continue
-            px = ax(v)
+            at = axis(v)
+            if axis is ax:
+                x1, y1, x2, y2 = at, top, at, bottom
+                out_text = _text(at, bottom + 18, 12, "#444444", label)
+            else:
+                x1, y1, x2, y2 = left, at, right, at
+                out_text = _text(left - 6, at + 4, 12, "#444444", label, ' text-anchor="end"')
             out.append(
-                f'<line x1="{_px(px)}" y1="{_px(top)}" x2="{_px(px)}" y2="{_px(bottom)}" '
+                f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
                 f'stroke="#e0e0e0" stroke-width="1"/>'
             )
-            label = _fmt_lin(v) if e is None else f"1e{e}"
-            out.append(
-                f'<text x="{_px(px)}" y="{_px(bottom + 18)}" font-family="{_FONT}" '
-                f'font-size="12" fill="#444444" text-anchor="middle">{label}</text>'
-            )
-        for v, e in yticks:
-            if not (y_lo <= v <= y_hi or math.isclose(v, y_lo) or math.isclose(v, y_hi)):
-                continue
-            py = ay(v)
-            out.append(
-                f'<line x1="{_px(left)}" y1="{_px(py)}" x2="{_px(right)}" y2="{_px(py)}" '
-                f'stroke="#e0e0e0" stroke-width="1"/>'
-            )
-            label = _fmt_lin(v) if e is None else f"1e{e}"
-            out.append(
-                f'<text x="{_px(left - 6)}" y="{_px(py + 4)}" font-family="{_FONT}" '
-                f'font-size="12" fill="#444444" text-anchor="end">{label}</text>'
-            )
+            out.append(out_text)
 
-    grid_and_ticks()
     out.append(
         f'<rect x="{_px(left)}" y="{_px(top)}" width="{_px(right - left)}" '
         f'height="{_px(bottom - top)}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         x, y = xs[i], ys[i]
         keep = np.isfinite(x) & np.isfinite(y)
         if xlog:
@@ -224,7 +214,7 @@ def chart(
         x, y = x[keep], y[keep]
         if x.size == 0:
             continue
-        idx = _thin(x.size, thin_to)
+        idx = _thin(x.size)
         px, py = ax.positions(x[idx]).tolist(), ay.positions(y[idx]).tolist()
         if s.marker is None:
             points = " ".join(map("{:.2f},{:.2f}".format, px, py))  # _px's format
@@ -240,22 +230,13 @@ def chart(
                 )
 
     if title:
-        out.append(
-            f'<text x="{_px((left + right) / 2)}" y="{_px(top - 12)}" font-family="{_FONT}" '
-            f'font-size="15" fill="#111111" text-anchor="middle">{_esc(title)}</text>'
-        )
+        out.append(_text((left + right) / 2, top - 12, 15, "#111111", title))
     if xlabel:
-        out.append(
-            f'<text x="{_px((left + right) / 2)}" y="{_px(height - 10)}" font-family="{_FONT}" '
-            f'font-size="13" fill="#111111" text-anchor="middle">{_esc(xlabel)}</text>'
-        )
+        out.append(_text((left + right) / 2, height - 10, 13, "#111111", xlabel))
     if ylabel:
         cx, cy = 16.0, (top + bottom) / 2
-        out.append(
-            f'<text x="{_px(cx)}" y="{_px(cy)}" font-family="{_FONT}" font-size="13" '
-            f'fill="#111111" text-anchor="middle" transform="rotate(-90 {_px(cx)} {_px(cy)})">'
-            f"{_esc(ylabel)}</text>"
-        )
+        rotate = f' text-anchor="middle" transform="rotate(-90 {_px(cx)} {_px(cy)})"'
+        out.append(_text(cx, cy, 13, "#111111", ylabel, rotate))
 
     # legend, top-right inside the frame
     if any(s.label for s in series):
@@ -267,7 +248,7 @@ def chart(
             f'fill="#ffffff" fill-opacity="0.85" stroke="#999999" stroke-width="0.8"/>'
         )
         for i, s in enumerate(series):
-            color = s.color or PALETTE[i % len(PALETTE)]
+            color = PALETTE[i % len(PALETTE)]
             yy = ly + 14 + 20 * i
             if s.marker is None:
                 out.append(
@@ -278,10 +259,7 @@ def chart(
                 out.append(
                     f'<circle cx="{_px(lx + 19)}" cy="{_px(yy)}" r="3.2" fill="{color}"/>'
                 )
-            out.append(
-                f'<text x="{_px(lx + 36)}" y="{_px(yy + 4)}" font-family="{_FONT}" '
-                f'font-size="12" fill="#111111">{_esc(s.label)}</text>'
-            )
+            out.append(_text(lx + 36, yy + 4, 12, "#111111", s.label, ""))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -15,15 +15,7 @@ import numpy as np
 from kqrk.bounds import (
     FORM_AGREEMENT_RTOL,
     SpectralSummary,
-    compare_dqrk_rates,
-    compare_qrk_rates,
-    dqrk_error_horizon,
-    dqrk_rate_alternative,
-    dqrk_rate_original,
-    qrask_coefficient_comparison,
-    qrk_error_horizon,
-    qrk_rate_alternative,
-    qrk_rate_original,
+    certificate,
     quantile_bounds,
     robust_params,
     spectral_summary,
@@ -201,8 +193,8 @@ def test_c06_rate_comparison_sweep():
         )
         summary = spectral_summary(mat, params)
         for rec in (
-            compare_qrk_rates(summary, params),
-            compare_dqrk_rates(summary, params),
+            certificate("qrk_rate_comparison", summary, robust_params(params.beta, params.q)),
+            certificate("dqrk_rate_comparison", summary, params),
         ):
             assert rec.condition_mode == "exact"
             if rec.condition_satisfied:
@@ -251,12 +243,12 @@ def test_c07_algebraic_form_equivalence():
         eta_inf = float(rng.uniform(0.0, 5.0))
         single = robust_params(params.beta, params.q)
         for rec in (
-            qrk_rate_original(summary, single),
-            qrk_rate_alternative(summary, single),
-            qrk_error_horizon(summary, single, eta_inf),
-            dqrk_rate_original(summary, params),
-            dqrk_rate_alternative(summary, params, x0_on_hyperplane=True),
-            dqrk_error_horizon(summary, params, eta_inf),
+            certificate("qrk_rate_original", summary, single),
+            certificate("qrk_rate_alternative", summary, single),
+            certificate("qrk_error_horizon", summary, single, eta_inf=eta_inf),
+            certificate("dqrk_rate_original", summary, params),
+            certificate("dqrk_rate_alternative", summary, params, x0_on_hyperplane=True),
+            certificate("dqrk_error_horizon", summary, params, eta_inf=eta_inf),
         ):
             assert math.isfinite(rec.values["C"])
             evaluated += 1
@@ -292,7 +284,8 @@ def test_c08_noise_coefficient_grid():
         sigma_q_beta_min=SigmaQMinResult(1.5, "exact", 1, False),
     )
     for bi, qj in ((1, 100), (1, 149), (50, 100), (50, 149)):
-        rec = qrask_coefficient_comparison(
+        rec = certificate(
+            "qrask_coefficient_comparison",
             summary, robust_params(Fraction(bi, 200), Fraction(qj, 200))
         )
         assert rec.flags["ratio_bound_holds"] is True
@@ -392,7 +385,7 @@ def test_c11_horizon_bound_validity():
         summary = spectral_summary(a, params)
         assert summary.exactness()
         eta = np.random.default_rng(m).normal(0.0, 1.0, m)
-        rec = qrk_error_horizon(summary, params, float(np.max(np.abs(eta))))
+        rec = certificate("qrk_error_horizon", summary, params, eta_inf=float(np.max(np.abs(eta))))
         log.append(
             f"m={m}: C={rec.values['C']:+.5f} "
             f"lhs={rec.values['condition_lhs']:.5f} "

@@ -12,22 +12,10 @@ from kqrk.bounds import (
     SpectralSummary,
     ZeroCorruptionError,
     build_report,
-    compare_dqrk_rates,
-    compare_qrk_rates,
-    dqrk_error_horizon,
-    dqrk_rate_alternative,
-    dqrk_rate_original,
-    eh_comparison_condition,
+    certificate,
     noise_allowance,
-    qrask_coefficient_comparison,
-    qrk_error_horizon,
-    qrk_general_horizon,
-    qrk_rate_alternative,
-    qrk_rate_original,
-    rk_horizon,
     robust_params,
     spectral_summary,
-    timevar_constants,
 )
 from kqrk.linalg import DenseMatrix, NonIntegerQuantileError, SigmaQMinResult
 from kqrk.solvers import InvalidRegimeError
@@ -174,22 +162,24 @@ class TestRkHorizon:
         s = SpectralSummary(m=n, n=n, sigma_max=1.0, sigma_min=1.0, frobenius_sq=float(n))
         eps = np.zeros(n)
         eps[0] = 1.0
-        rec = rk_horizon(s, eps)
+        rec = certificate("rk_horizon", s, None, epsilon=eps)
         assert rec.value("decay_factor") == pytest.approx(1 - 1 / n, rel=1e-15)
         assert rec.value("horizon") == pytest.approx(n, rel=1e-15)
         assert rec.condition_satisfied is True
 
     def test_zero_error_zero_horizon(self):
         s = _summary(10, 3, smax_sq=4.0, sq_sq=1.0, smin_sq=1.0)
-        rec = rk_horizon(s, np.zeros(10))
+        rec = certificate("rk_horizon", s, None, epsilon=np.zeros(10))
         assert rec.value("horizon") == 0.0
         assert 0.0 < rec.value("decay_factor") < 1.0
 
     def test_row_norms_rescale(self):
         s = _summary(3, 2, smax_sq=4.0, sq_sq=1.0, smin_sq=1.0)
         eps = np.array([2.0, 2.0, 2.0])
-        small = rk_horizon(s, eps, row_norms=np.array([2.0, 2.0, 2.0]))
-        large = rk_horizon(s, eps)
+        small = certificate(
+            "rk_horizon", s, None, epsilon=eps, row_norms=np.array([2.0, 2.0, 2.0])
+        )
+        large = certificate("rk_horizon", s, None, epsilon=eps)
         assert small.value("horizon") == pytest.approx(
             large.value("horizon") / 4.0, rel=1e-15
         )
@@ -209,7 +199,7 @@ class TestRkHorizon:
             )
             eps = np.zeros(12)
             eps[3] = math.sqrt(worst)
-            rec = rk_horizon(s, eps)
+            rec = certificate("rk_horizon", s, None, epsilon=eps)
             decay, horizon = mp_rk(12, frob, smin_sq, worst)
             assert mp_close(rec.value("decay_factor"), decay, 1.0)
             assert mp_close(rec.value("horizon"), horizon, float(horizon) + 1.0)
@@ -217,7 +207,7 @@ class TestRkHorizon:
     def test_rank_deficient_rejected(self):
         s = SpectralSummary(m=5, n=2, sigma_max=1.0, sigma_min=0.0, frobenius_sq=5.0)
         with pytest.raises(FullRankViolationError):
-            rk_horizon(s, np.ones(5))
+            certificate("rk_horizon", s, None, epsilon=np.ones(5))
 
 
 class TestQrkOracleAgreement:
@@ -225,7 +215,7 @@ class TestQrkOracleAgreement:
         for m, b, q, _, smax_sq, sq_sq, _ in _random_regimes(50, seed=1):
             s = _summary(m, 3, smax_sq, sq_sq)
             params = robust_params(b, q)
-            rec = qrk_rate_original(s, params)
+            rec = certificate("qrk_rate_original", s, params)
             oracle = mp_qrk_c_original(m, b, q, smax_sq, sq_sq)
             bq, qq = float(q - b), float(q)
             slack = float(1 - q - b)
@@ -237,7 +227,7 @@ class TestQrkOracleAgreement:
     def test_rate_alternative(self):
         for m, b, q, _, smax_sq, sq_sq, _ in _random_regimes(50, seed=2):
             s = _summary(m, 3, smax_sq, sq_sq)
-            rec = qrk_rate_alternative(s, robust_params(b, q))
+            rec = certificate("qrk_rate_alternative", s, robust_params(b, q))
             oracle = mp_qrk_c_alternative(m, b, q, smax_sq, sq_sq)
             qq, bf = float(q), float(b)
             slack = float(1 - q - b)
@@ -250,7 +240,7 @@ class TestQrkOracleAgreement:
         for m, b, q, _, smax_sq, sq_sq, _ in _random_regimes(50, seed=3):
             s = _summary(m, 3, smax_sq, sq_sq)
             eta = 0.25
-            rec = qrk_error_horizon(s, robust_params(b, q), eta)
+            rec = certificate("qrk_error_horizon", s, robust_params(b, q), eta_inf=eta)
             c, coef, horizon = mp_qrk_horizon(m, b, q, smax_sq, sq_sq, eta)
             qq, bf = float(q), float(b)
             slack = float(1 - q - b)
@@ -271,7 +261,7 @@ class TestQrkOracleAgreement:
     def test_alpha_comparison(self):
         for m, b, q, _, smax_sq, sq_sq, _ in _random_regimes(50, seed=4):
             s = _summary(m, 3, smax_sq, sq_sq)
-            rec = compare_qrk_rates(s, robust_params(b, q))
+            rec = certificate("qrk_rate_comparison", s, robust_params(b, q))
             a1, a2 = mp_qrk_alphas(m, b, q, smax_sq, sq_sq)
             scale = 1.0 + abs(float(a1)) + abs(float(a2))
             assert mp_close(rec.value("alpha1"), a1, scale)
@@ -282,9 +272,9 @@ class TestQrkOracleAgreement:
 
     def test_condition_sides(self):
         evaluators = {
-            "original": qrk_rate_original,
-            "alternative": qrk_rate_alternative,
-            "horizon": lambda s, params: qrk_error_horizon(s, params, 1.0),
+            "original": lambda s, params: certificate("qrk_rate_original", s, params),
+            "alternative": lambda s, params: certificate("qrk_rate_alternative", s, params),
+            "horizon": lambda s, params: certificate("qrk_error_horizon", s, params, eta_inf=1.0),
         }
         for m, b, q, _, smax_sq, sq_sq, _ in _random_regimes(50, seed=10):
             s = _summary(m, 3, smax_sq, sq_sq)
@@ -298,7 +288,7 @@ class TestQrkOracleAgreement:
             if b == 0:
                 continue
             s = _summary(m, 3, smax_sq, sq_sq)
-            rec = timevar_constants(s, robust_params(b, q))
+            rec = certificate("timevar_constants", s, robust_params(b, q))
             phi, zeta = mp_timevar(m, b, q, smax_sq, sq_sq)
             scale = abs(float(phi)) + abs(float(zeta)) + sq_sq / (float(q) * m)
             assert mp_close(rec.value("phi"), phi, scale)
@@ -314,7 +304,7 @@ class TestDqrkOracleAgreement:
             30, seed=6, with_q0=True
         ):
             s = _summary(m, 3, smax_sq, sq_sq, sq0_sq=sq0_sq)
-            rec = dqrk_rate_original(s, robust_params(b, q, q0))
+            rec = certificate("dqrk_rate_original", s, robust_params(b, q, q0))
             oracle = mp_dqrk_c_original(m, b, q0, q, smax_sq, sq_sq, sq0_sq)
             gap, qq, q0q = float(q - q0), float(q), float(q0)
             top = float(q - q0 - b)
@@ -333,7 +323,7 @@ class TestDqrkOracleAgreement:
             30, seed=7, with_q0=True
         ):
             s = _summary(m, 3, smax_sq, sq_sq, sq0_sq=sq0_sq)
-            rec = dqrk_rate_alternative(s, robust_params(b, q, q0))
+            rec = certificate("dqrk_rate_alternative", s, robust_params(b, q, q0))
             oracle = mp_dqrk_c_alternative(m, b, q0, q, smax_sq, sq_sq, sq0_sq)
             gap, qq, q0q = float(q - q0), float(q), float(q0)
             top = float(q - q0 - b)
@@ -351,7 +341,7 @@ class TestDqrkOracleAgreement:
         ):
             s = _summary(m, 3, smax_sq, sq_sq, sq0_sq=sq_sq * 0.5)
             eta = 1.5
-            rec = dqrk_error_horizon(s, robust_params(b, q, q0), eta)
+            rec = certificate("dqrk_error_horizon", s, robust_params(b, q, q0), eta_inf=eta)
             c, coef, horizon = mp_dqrk_horizon(m, b, q0, q, smax_sq, sq_sq, eta)
             gap, qq = float(q - q0), float(q)
             top = float(q - q0 - b)
@@ -368,9 +358,9 @@ class TestDqrkOracleAgreement:
 
     def test_condition_sides(self):
         evaluators = {
-            "original": dqrk_rate_original,
-            "alternative": dqrk_rate_alternative,
-            "horizon": lambda s, params: dqrk_error_horizon(s, params, 1.0),
+            "original": lambda s, params: certificate("dqrk_rate_original", s, params),
+            "alternative": lambda s, params: certificate("dqrk_rate_alternative", s, params),
+            "horizon": lambda s, params: certificate("dqrk_error_horizon", s, params, eta_inf=1.0),
         }
         for m, b, q, q0, smax_sq, sq_sq, sq0_sq in _random_regimes(
             30, seed=11, with_q0=True
@@ -386,7 +376,7 @@ class TestDqrkOracleAgreement:
             30, seed=12, with_q0=True
         ):
             s = _summary(m, 3, smax_sq, sq_sq, sq0_sq=sq0_sq)
-            rec = compare_dqrk_rates(s, robust_params(b, q, q0))
+            rec = certificate("dqrk_rate_comparison", s, robust_params(b, q, q0))
             a1, a2 = mp_dqrk_alphas(m, b, q0, q, smax_sq, sq_sq, sq0_sq)
             scale = 1.0 + abs(float(a1)) + abs(float(a2))
             assert mp_close(rec.value("alpha1"), a1, scale)
@@ -398,9 +388,9 @@ class TestDqrkOracleAgreement:
         ):
             s = _summary(m, 3, smax_sq, sq_sq, sq0_sq=sq0_sq)
             params = robust_params(b, q, q0)
-            rec = compare_dqrk_rates(s, params)
-            c_orig = dqrk_rate_original(s, params).value("C")
-            c_alt = dqrk_rate_alternative(s, params).value("C")
+            rec = certificate("dqrk_rate_comparison", s, params)
+            c_orig = certificate("dqrk_rate_original", s, params).value("C")
+            c_alt = certificate("dqrk_rate_alternative", s, params).value("C")
             scale = 1.0 + abs(c_orig) + abs(c_alt)
             assert rec.value("alpha1") == pytest.approx(1.0 - c_alt, abs=1e-12 * scale)
             assert rec.value("alpha2") == pytest.approx(1.0 - c_orig, abs=1e-12 * scale)
@@ -408,27 +398,30 @@ class TestDqrkOracleAgreement:
     def test_single_quantile_params_rejected(self):
         s = _summary(20, 3, 4.0, 1.0, sq0_sq=0.5)
         qrk = robust_params(Fraction(1, 20), Fraction(4, 5))
-        for op in (dqrk_rate_original, dqrk_rate_alternative, compare_dqrk_rates):
+        for name in ("dqrk_rate_original", "dqrk_rate_alternative", "dqrk_rate_comparison"):
             with pytest.raises(InvalidRegimeError):
-                op(s, qrk)
+                certificate(name, s, qrk)
         with pytest.raises(InvalidRegimeError):
-            dqrk_error_horizon(s, qrk, 1.0)
+            certificate("dqrk_error_horizon", s, qrk, eta_inf=1.0)
 
     def test_dqrk_params_rejected_by_qrk_ops(self):
+        # Every qrk row reads qrk's p = (q - beta)/q; dqrk's would be wrong.
         s = _summary(20, 3, 4.0, 1.0, sq0_sq=0.5)
         dq = robust_params(Fraction(1, 20), Fraction(4, 5), Fraction(3, 5))
-        for op in (qrk_rate_original, qrk_rate_alternative):
-            with pytest.raises(InvalidRegimeError):
-                op(s, dq)
-        with pytest.raises(InvalidRegimeError):
-            qrk_error_horizon(s, dq, 1.0)
+        for name in (
+            "qrk_rate_original", "qrk_rate_alternative", "qrk_rate_comparison",
+            "qrk_error_horizon", "qrk_general_horizon", "eh_comparison",
+            "timevar_constants", "qrask_coefficient_comparison",
+        ):
+            with pytest.raises(InvalidRegimeError, match="single-quantile"):
+                certificate(name, s, dq, eta_inf=1.0, epsilon=np.ones(20))
 
     def test_x0_flag_passthrough(self):
         s = _summary(40, 3, 4.0, 1.0, sq0_sq=0.5)
         params = robust_params(Fraction(1, 40), Fraction(4, 5), Fraction(3, 5))
-        rec = dqrk_rate_alternative(s, params, x0_on_hyperplane=True)
+        rec = certificate("dqrk_rate_alternative", s, params, x0_on_hyperplane=True)
         assert rec.flags["x0_on_hyperplane"] is True
-        rec2 = dqrk_rate_alternative(s, params)
+        rec2 = certificate("dqrk_rate_alternative", s, params)
         assert "x0_on_hyperplane" not in rec2.flags
 
 
@@ -438,33 +431,33 @@ class TestCertification:
 
     def test_exact_satisfied_is_true(self):
         s = _summary(1000, 3, 10.0, 2.0, exact=True)
-        rec = qrk_rate_original(s, self.PARAMS)
+        rec = certificate("qrk_rate_original", s, self.PARAMS)
         assert rec.value("condition_lhs") < rec.value("condition_rhs")
         assert rec.condition_satisfied is True
         assert rec.condition_mode == "exact"
 
     def test_sampled_satisfied_is_unknown(self):
         s = _summary(1000, 3, 10.0, 2.0, exact=False)
-        rec = qrk_rate_original(s, self.PARAMS)
+        rec = certificate("qrk_rate_original", s, self.PARAMS)
         assert rec.value("condition_lhs") < rec.value("condition_rhs")
         assert rec.condition_satisfied is None
         assert rec.condition_mode == "sampled"
 
     def test_sampled_violated_is_false(self):
         s = _summary(1000, 3, 10.0, 0.1, exact=False)
-        rec = qrk_rate_original(s, self.PARAMS)
+        rec = certificate("qrk_rate_original", s, self.PARAMS)
         assert rec.value("condition_lhs") >= rec.value("condition_rhs")
         assert rec.condition_satisfied is False
 
     def test_exact_violated_is_false(self):
         s = _summary(1000, 3, 10.0, 0.1, exact=True)
-        rec = qrk_rate_original(s, self.PARAMS)
+        rec = certificate("qrk_rate_original", s, self.PARAMS)
         assert rec.condition_satisfied is False
 
     def test_rate_comparison_mode_always_exact(self):
         # The comparison hypotheses involve only sigma_max, known exactly.
         s = _summary(100, 3, 10.0, 2.0, exact=False)
-        rec = compare_qrk_rates(s, robust_params(Fraction(1, 20), Fraction(4, 5)))
+        rec = certificate("qrk_rate_comparison", s, robust_params(Fraction(1, 20), Fraction(4, 5)))
         assert rec.condition_mode == "exact"
 
 
@@ -472,7 +465,7 @@ class TestZeroCorruptionLimit:
     def test_c_reduces_to_leading_term(self):
         params = robust_params(0, Fraction(1, 2))
         s = _summary(40, 3, 9.0, 2.0)
-        rec = qrk_rate_original(s, params)
+        rec = certificate("qrk_rate_original", s, params)
         assert rec.value("C") == pytest.approx(2.0 / (0.5 * 40), rel=1e-14)
         assert rec.condition_satisfied is True
 
@@ -480,27 +473,31 @@ class TestZeroCorruptionLimit:
         params = robust_params(0, Fraction(1, 2))
         s = _summary(40, 3, 9.0, 2.0)
         with pytest.raises(InvalidRegimeError):
-            timevar_constants(s, params)
+            certificate("timevar_constants", s, params)
         with pytest.raises(InvalidRegimeError):
-            qrask_coefficient_comparison(s, params)
+            certificate("qrask_coefficient_comparison", s, params)
 
 
 class TestFrozenCoefficients:
     def test_qrk_noise_coefficient(self):
         s = _summary(40, 3, 4.0, 1.0)
-        rec = qrk_error_horizon(s, robust_params(Fraction(1, 20), Fraction(4, 5)), 1.0)
+        rec = certificate(
+            "qrk_error_horizon", s, robust_params(Fraction(1, 20), Fraction(4, 5)), eta_inf=1.0
+        )
         assert rec.value("coefficient") == pytest.approx(7 / 6, rel=1e-14)
 
     def test_dqrk_noise_coefficient(self):
         s = _summary(40, 3, 4.0, 1.0, sq0_sq=0.5)
-        rec = dqrk_error_horizon(
-            s, robust_params(Fraction(1, 20), Fraction(4, 5), Fraction(3, 5)), 1.0
+        rec = certificate(
+            "dqrk_error_horizon", s,
+            robust_params(Fraction(1, 20), Fraction(4, 5), Fraction(3, 5)), eta_inf=1.0,
         )
         assert rec.value("coefficient") == pytest.approx(5 / 3, rel=1e-14)
 
     def test_qrask_ratio_bound(self):
         s = _summary(1000, 200, 4.0, 1.0)
-        rec = qrask_coefficient_comparison(
+        rec = certificate(
+            "qrask_coefficient_comparison",
             s, robust_params(Fraction(1, 20), Fraction(4, 5))
         )
         assert rec.value("our_coefficient") == pytest.approx(7 / 6, rel=1e-14)
@@ -511,10 +508,12 @@ class TestFrozenCoefficients:
 
     def test_qrask_coefficient_grows_with_m(self):
         params = robust_params(Fraction(1, 20), Fraction(4, 5))
-        small = qrask_coefficient_comparison(_summary(100, 20, 4.0, 1.0), params)
+        small = certificate("qrask_coefficient_comparison", _summary(100, 20, 4.0, 1.0), params)
         # sqrt(n/m) fixed, sigma_max grows with sqrt(m) in practice; model
         # that by scaling smax_sq with m.
-        big = qrask_coefficient_comparison(_summary(10000, 2000, 400.0, 1.0), params)
+        big = certificate(
+            "qrask_coefficient_comparison", _summary(10000, 2000, 400.0, 1.0), params
+        )
         assert big.value("qrask_coefficient") > small.value("qrask_coefficient")
         assert big.value("our_coefficient") == small.value("our_coefficient")
 
@@ -537,16 +536,16 @@ class TestTimevarComparison:
     def test_phi_below_horizon_c(self):
         for smax_sq in (4.0, 64.0, 640.0):
             s = _summary(128, 2, smax_sq, 0.5)
-            phi = timevar_constants(s, self.PARAMS).value("phi")
-            c = qrk_error_horizon(s, self.PARAMS, 1.0).value("C")
+            phi = certificate("timevar_constants", s, self.PARAMS).value("phi")
+            c = certificate("qrk_error_horizon", s, self.PARAMS, eta_inf=1.0).value("C")
             assert phi < c
 
     def test_margin_independent_of_subset_minimum(self):
         margins = []
         for sq_sq in (0.3, 0.5, 0.7):
             s = _summary(128, 2, 64.0, sq_sq)
-            phi = timevar_constants(s, self.PARAMS).value("phi")
-            c = qrk_error_horizon(s, self.PARAMS, 1.0).value("C")
+            phi = certificate("timevar_constants", s, self.PARAMS).value("phi")
+            c = certificate("qrk_error_horizon", s, self.PARAMS, eta_inf=1.0).value("C")
             margins.append(c - phi)
         assert max(margins) - min(margins) < 1e-12 * max(map(abs, margins))
 
@@ -558,17 +557,17 @@ class TestGeneralHorizon:
         s = _summary(20, 3, 4.0, 2.0)
         eps = np.zeros(20)
         eps[:4] = [100.0, -50.0, 25.0, -12.0]
-        rec = qrk_general_horizon(s, params, eps)
+        rec = certificate("qrk_general_horizon", s, params, epsilon=eps)
         # beta*m = 2 worst entries absorbed; allowance is the 3rd largest.
         assert rec.value("noise_allowance") == 25.0
-        direct = qrk_error_horizon(s, params, 25.0)
+        direct = certificate("qrk_error_horizon", s, params, eta_inf=25.0)
         assert rec.value("C") == direct.value("C")
         assert rec.values.get("horizon") == direct.values.get("horizon")
 
     def test_zero_epsilon_allows_zero(self):
         params = robust_params(Fraction(1, 10), Fraction(1, 2))
         s = _summary(20, 3, 4.0, 2.0)
-        rec = qrk_general_horizon(s, params, np.zeros(20))
+        rec = certificate("qrk_general_horizon", s, params, epsilon=np.zeros(20))
         assert rec.value("noise_allowance") == 0.0
 
     def test_noise_allowance(self):
@@ -598,7 +597,7 @@ class TestEhComparison:
         eps = np.zeros(28)
         eps[0] = 100.0
         eps[1:] = 0.001
-        rec = eh_comparison_condition(summary, params, eps)
+        rec = certificate("eh_comparison", summary, params, epsilon=eps)
         assert rec.condition_satisfied is True
         assert rec.condition_mode == "exact"
         assert rec.flags["qrk_beats_rk"] is True
@@ -606,7 +605,7 @@ class TestEhComparison:
 
     def test_horizon_positive_on_certifying_instance(self):
         summary, params = self._certifying()
-        rec = qrk_error_horizon(summary, params, 0.001)
+        rec = certificate("qrk_error_horizon", summary, params, eta_inf=0.001)
         assert rec.value("C") > 0
         assert rec.value("coefficient") == pytest.approx(15 / 13, rel=1e-13)
         assert rec.value("horizon") == pytest.approx(
@@ -616,7 +615,7 @@ class TestEhComparison:
     def test_zero_epsilon_rejected(self):
         summary, params = self._certifying()
         with pytest.raises(ZeroCorruptionError):
-            eh_comparison_condition(summary, params, np.zeros(28))
+            certificate("eh_comparison", summary, params, epsilon=np.zeros(28))
 
     def test_rank_deficient_rejected(self):
         params = robust_params(Fraction(1, 10), Fraction(1, 2))
@@ -629,13 +628,13 @@ class TestEhComparison:
             sigma_q_beta_min=SigmaQMinResult(1.0, "exact", 3, False),
         )
         with pytest.raises(FullRankViolationError):
-            eh_comparison_condition(s, params, np.ones(20))
+            certificate("eh_comparison", s, params, epsilon=np.ones(20))
 
     def test_nonpositive_c_rejected(self):
         params = robust_params(Fraction(1, 10), Fraction(1, 2))
         s = _summary(20, 3, 40.0, 0.001)
         with pytest.raises(InvalidRegimeError):
-            eh_comparison_condition(s, params, np.ones(20))
+            certificate("eh_comparison", s, params, epsilon=np.ones(20))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_quantile_params_rejected(self, seed):
@@ -647,7 +646,7 @@ class TestEhComparison:
         eps = rng.standard_normal(12)
         eps[0] = 50.0
         with pytest.raises(InvalidRegimeError, match="single-quantile"):
-            eh_comparison_condition(spectral_summary(a, params), params, eps)
+            certificate("eh_comparison", spectral_summary(a, params), params, epsilon=eps)
 
 
 class TestReport:
@@ -718,7 +717,8 @@ class TestReport:
         # The qrk records inside a dqrk report use (beta, q) alone.
         summary, params, eps = self._inputs()
         report = build_report(summary, params, eta_inf=0.01)
-        qrk_direct = qrk_rate_original(
+        qrk_direct = certificate(
+            "qrk_rate_original",
             summary, robust_params(params.beta, params.q)
         )
         assert report.record("qrk_rate_original").values == qrk_direct.values

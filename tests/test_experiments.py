@@ -358,7 +358,7 @@ class TestEmission:
             expected = reference_csv(
                 ["k", "sq_error", "residual_norm", "chosen_index", "Q0", "Q"],
                 ([str(k)] + [cell(c, k) for c in columns]
-                 for k in range(len(trace.admissible_sizes))),
+                 for k in range(len(trace.chosen_indices) + 1)),
             )
             assert (tmp_path / f"trace{i}.csv").read_bytes() == expected
 

@@ -110,7 +110,7 @@ class TestStepSelection:
         admissible = set(lower_set_indices(keys, 32))  # q = 4/5, m = 40
         for seed in range(23):
             trace = _one_step(prob, "qrk", seed, "zero", q=Fraction(4, 5))
-            assert trace.admissible_sizes[0] == 32
+            assert trace.admissible_size == 32
             assert trace.quantiles_q[0] == sort_quantile(keys, 32)
             i = int(trace.chosen_indices[0])
             assert i in admissible
@@ -127,7 +127,7 @@ class TestStepSelection:
         seen = set()
         for seed in range(60):
             trace = _one_step(prob, "dqrk", seed, "zero", q=Fraction(4, 5), q0=Fraction(3, 5))
-            assert trace.admissible_sizes[0] == 8
+            assert trace.admissible_size == 8
             assert trace.quantiles_q0[0] == sort_quantile(keys, 24)
             assert trace.quantiles_q[0] == sort_quantile(keys, 32)
             i = int(trace.chosen_indices[0])
@@ -142,7 +142,7 @@ class TestStepSelection:
         rows = set()
         for seed in range(10):
             trace = _one_step((dm, b), "qrk", seed, "zero", q=Fraction(1, 2))
-            assert trace.admissible_sizes[0] == 2
+            assert trace.admissible_size == 2
             assert trace.quantiles_q[0] == 1.0
             i = 0 if _uniforms(seed, 1)[0] < 0.5 else 1
             assert trace.chosen_indices[0] == i
@@ -251,9 +251,9 @@ class TestRunTrace:
             prob,
             SolverConfig(method="dqrk", q=Fraction(4, 5), q0=Fraction(3, 5), iterations=5),
         )
-        assert set(t_rk.admissible_sizes) == {40}
-        assert set(t_q.admissible_sizes) == {32}
-        assert set(t_dq.admissible_sizes) == {8}
+        assert t_rk.admissible_size == 40
+        assert t_q.admissible_size == 32
+        assert t_dq.admissible_size == 8
 
     def test_array_lengths(self):
         prob = _problem()
@@ -263,7 +263,7 @@ class TestRunTrace:
         assert len(trace.residual_norms) == 18
         assert len(trace.sq_errors) == 18
         assert len(trace.quantiles_q) == 18
-        assert len(trace.admissible_sizes) == 18
+        assert trace.admissible_size == 32
         assert trace.quantiles_q0 is None
         assert trace.final_x.shape == (prob.n,)
 
@@ -429,7 +429,7 @@ class TestEarlyStop:
         assert trace.sq_errors[-1] < 1e-20
         assert np.all(trace.sq_errors[:-1] >= 1e-20)
         assert len(trace.residual_norms) == taken + 1
-        assert len(trace.admissible_sizes) == taken + 1
+        assert len(trace.sq_errors) == taken + 1
         assert len(trace.quantiles_q) == taken + 1
 
     def test_requires_known_solution(self):
@@ -457,7 +457,7 @@ def _assert_batch_matches_solo(problem, configs, rtol):
         want = run(problem, cfg, residual_norms=True)
         assert got.method == cfg.method
         np.testing.assert_array_equal(got.chosen_indices, want.chosen_indices)
-        np.testing.assert_array_equal(got.admissible_sizes, want.admissible_sizes)
+        assert got.admissible_size == want.admissible_size
         for name in _TRACE_FLOATS:
             g, w = getattr(got, name), getattr(want, name)
             assert (g is None) == (w is None), name

@@ -39,7 +39,7 @@ class TestChart:
     def test_thinning_caps_polyline_points(self):
         n = 25000
         s = Series(label="big", x=np.arange(n), y=np.linspace(1.0, 2.0, n))
-        text = chart([s], thin_to=2000)
+        text = chart([s])
         points = re.search(r'points="([^"]+)"', text).group(1)
         assert len(points.split()) <= 2000
 
@@ -88,11 +88,6 @@ class TestChart:
         text = chart(series)
         for i in range(3):
             assert PALETTE[i] in text
-
-    def test_explicit_color_wins(self):
-        s = Series(label="c", x=np.arange(3), y=np.ones(3), color="#123456")
-        text = chart([s])
-        assert "#123456" in text
 
     def test_legend_contains_labels(self):
         text = chart([_line_series()])
