@@ -6,13 +6,12 @@ parameter set, the seeds, and content checksums, so any output can be
 reproduced byte-identically on the same build.  Wall-clock timing is the
 one manifest field allowed to differ between identical runs.
 
-Each command's ``Opt`` table decides its flags: the flag and config
-key, the record field it sets (GenSpec, SolverConfig, RobustParams or
-ExperimentSpec), and so the manifest ``parameters``, read back from that
-record.  Level flags (beta, q, q0) are snapped to the nearest value
-whose product with m is an integer; a snap is reported on stderr and
-recorded in the manifest.  A config file of ``key = value`` lines (#
-comments allowed) can supply any flag; explicit command-line flags win.
+Each command's ``Opt`` table decides its flags: the flag, the record
+field it sets (GenSpec, SolverConfig, RobustParams or ExperimentSpec),
+and so the manifest ``parameters``, read back from that record.  Every
+value comes from its flag or its default.  Level flags (beta, q, q0)
+are snapped to the nearest value whose product with m is an integer; a
+snap is reported on stderr and recorded in the manifest.
 """
 from __future__ import annotations
 
@@ -68,7 +67,7 @@ TOOL_NAME = "kqrk"
 
 
 class UsageError(Exception):
-    """Bad flags or config: reported on stderr, exit code 2."""
+    """Bad flags: reported on stderr, exit code 2."""
 
 
 class VerificationError(Exception):
@@ -98,22 +97,7 @@ def build_hash() -> str:
     return h.hexdigest()[:12]
 
 
-# ---------------------------------------------------------------- config
-
-
-def load_config(path: str | Path) -> dict[str, str]:
-    """Parse a key = value file; '#' starts a comment, blanks ignored."""
-    out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+# ---------------------------------------------------------------- options
 
 
 @dataclass(frozen=True)
@@ -124,15 +108,6 @@ class Opt:
     required: bool = False
     help: str = ""
     field: str = ""  # the field the flag sets in the command's record
-
-
-def _conv_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _conv_list(s: str) -> tuple[str, ...]:
@@ -155,32 +130,23 @@ def _conv_sigma_mode(s: str) -> tuple[str, int | None]:
 
 
 def resolve_opts(ns: argparse.Namespace, opts: list[Opt]) -> dict:
-    """Merge CLI > config file > defaults, converting as we go."""
-    config: dict[str, str] = {}
-    if getattr(ns, "config", None):
-        config = load_config(ns.config)
-        unknown = set(config) - {o.name for o in opts}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    """Each flag's value, converted, or its default when it is not given."""
     out = {}
     for opt in opts:
-        raw = getattr(ns, opt.name, None)
-        if raw is None and opt.name in config:
-            raw = config[opt.name]
+        raw = getattr(ns, opt.name)
         if raw is None:
             if opt.required:
                 raise UsageError(f"--{opt.name.replace('_', '-')} is required")
             out[opt.name] = opt.default
             continue
         try:
-            out[opt.name] = opt.conv(raw) if isinstance(raw, str) else raw
+            out[opt.name] = opt.conv(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"--{opt.name.replace('_', '-')}: {exc}") from exc
     return out
 
 
 def _add_opts(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
-    parser.add_argument("--config", default=None, help="key = value defaults file")
     for opt in opts:
         parser.add_argument(
             f"--{opt.name.replace('_', '-')}",
@@ -268,10 +234,6 @@ _GEN_OPTS = [
     Opt("scale", float, default=0.0, field="corruption_scale", help="corruption magnitude"),
     Opt("noise", float, default=1.0, field="noise_stddev", help="noise stddev"),
     Opt("ensemble", str, default="gaussian", field="ensemble", help="gaussian|uniform"),
-    Opt("disjoint", _conv_bool, default=False, field="disjoint_support",
-        help="corruption rows get no noise"),
-    Opt("signed", _conv_bool, default=False, field="signed_corruption",
-        help="random corruption signs"),
     Opt("seed", int, default=0),
     Opt("out", str, required=True, help="output directory"),
 ]

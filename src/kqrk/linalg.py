@@ -73,7 +73,7 @@ UNIT_ROW_TOLERANCE = 1e-12
 # arrays are alive at a time.  Besides one chunk, the engine holds the
 # m-by-n(n+1)/2 product table of its Gram matrices and, in exact mode,
 # its sums over row subsets (at most half this budget) or, when
-# sampling, one 8-byte rank or fingerprint per sample (see
+# sampling, at most one 8-byte rank or fingerprint per sample (see
 # _min_over_subsets).
 GATHER_BUDGET_BYTES = 1 << 20
 # Both sigma_q_min variants refuse, before computing anything, a level
@@ -445,56 +445,90 @@ def _fingerprint_words(m: int) -> np.ndarray:
     return np.random.SeedSequence(0x6B71726B).generate_state(m, np.uint64)
 
 
-def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
-    """``samples`` distinct uniform g-subsets of range(m), sorted, in chunks.
+def _distinct_draws(draw, samples: int, chunk: int):
+    """Draws until ``samples`` have distinct prints, in draw order, in chunks.
 
-    Requires 2g <= m.  While C(m, g) < 2**63 the draw is ``samples``
-    distinct ranks, unranked by the combinatorial number system, so the
-    cost is O(samples) even when ``samples`` is close to C(m, g).  Past
-    that, each subset is the g smallest of m random keys, and a subset
-    whose 64-bit fingerprint (``_fingerprint_words``) was seen before is
-    rejected.  A repeat always has a seen fingerprint, so none gets
-    through; a distinct subset that shares one only costs an extra draw.
-    Some repeat or shared fingerprint occurs with probability about
-    samples**2 / 2**64, so rejections are rare and the draws stay
-    O(samples).  Held across chunks: one 8-byte rank or fingerprint per
-    sample; within one, the key chunk fits GATHER_BUDGET_BYTES.
-
-    Known cost of the rank path: once ``samples`` exceeds C(m, g) / 50,
-    numpy's ``choice`` permutes all C(m, g) ranks, 8 C(m, g) bytes for
-    the call (a traced 44 MB at C(26, 10) with 200,000 samples, against
-    1.6 MB with 50,000).  Bounding it would change every sampled draw.
+    ``draw(size)`` returns ``size`` fresh draws and their int64 or uint64
+    prints.  A draw is kept when its print was not seen before, in its
+    own chunk or an earlier one; each chunk draws only as many as are
+    still missing, so the kept draws are the first ``samples`` distinct
+    ones of one stream.
     """
-    rng = np.random.default_rng(seed)
-    total = math.comb(m, g)
-    if total < 2**63:
-        table = _colex_table(m, g)
-        ranks = rng.choice(total, size=samples, replace=False)
-        for lo in range(0, samples, chunk):
-            yield _unrank(ranks[lo:lo + chunk], table)
-        return
-    chunk = max(1, min(chunk, GATHER_BUDGET_BYTES // (8 * m)))
-    words = _fingerprint_words(m)
-    # The fingerprints yielded so far, as sorted runs of falling length.
-    # A new run absorbs every run no longer than itself, so for chunks of
-    # one size the runs count like a binary counter: O(log samples) runs,
-    # and each fingerprint is merged O(log samples) times.
+    # The kept prints, as sorted runs of falling length.  A new run
+    # absorbs every run no longer than itself, so for chunks of one size
+    # the runs count like a binary counter: O(log samples) runs, and each
+    # print is merged O(log samples) times.
     runs: list[np.ndarray] = []
     drawn = 0
     while drawn < samples:
-        idx = np.argpartition(rng.random((min(chunk, samples - drawn), m)), g - 1, axis=1)
-        idx = np.sort(idx[:, :g], axis=1)  # the g smallest keys of each row
-        prints, first = np.unique(words[idx].sum(axis=1), return_index=True)
+        items, prints = draw(min(chunk, samples - drawn))
+        prints, first = np.unique(prints, return_index=True)
         for run in runs:
             new = np.searchsorted(run, prints, side="right") == np.searchsorted(run, prints)
             prints, first = prints[new], first[new]
         while runs and len(runs[-1]) <= len(prints):
             prints = np.sort(np.concatenate((runs.pop(), prints)), kind="stable")
         runs.append(prints)
-        idx = idx[np.sort(first)]  # first draws of new fingerprints, in draw order
-        drawn += len(idx)
-        yield idx
-        del idx  # not held while the next chunk is drawn
+        items = items[np.sort(first)]  # first draws of new prints, in draw order
+        drawn += len(items)
+        yield items
+        del items  # not held while the next chunk is drawn
+
+
+def _random_subsets(m: int, g: int, samples: int, seed: int, chunk: int):
+    """``samples`` distinct uniform g-subsets of range(m), sorted, in chunks.
+
+    Requires 2g <= m.  While C(m, g) < 2**63 a subset is a uniform rank,
+    unranked by the combinatorial number system.  When 2 samples <= C(m, g)
+    the kept ranks are drawn by ``_distinct_draws`` and yielded in chunks
+    of ``chunk``; past that, it draws the C(m, g) - samples ranks left
+    out, and every other rank is yielded in ascending order.  Either way
+    a drawn rank repeats one kept before with probability at most 1/2, so
+    the draws stay O(samples), and a round's draws fit
+    GATHER_BUDGET_BYTES.  Past 2**63, each subset is the g smallest
+    of m random keys, and a subset whose 64-bit fingerprint
+    (``_fingerprint_words``) was seen before is rejected.  A repeat always
+    has a seen fingerprint, so none gets through; a distinct subset that
+    shares one only costs an extra draw.  Some repeat or shared
+    fingerprint occurs with probability about samples**2 / 2**64, so
+    rejections are rare.  Held across chunks: at most one 8-byte rank or
+    fingerprint per sample; within one, the key chunk fits
+    GATHER_BUDGET_BYTES.
+    """
+    rng = np.random.default_rng(seed)
+    total = math.comb(m, g)
+    if total < 2**63:
+        table = _colex_table(m, g)
+
+        def ranks(size):
+            drawn = rng.integers(total, size=size)
+            return drawn, drawn
+
+        # A round draws at most GATHER_BUDGET_BYTES of ranks.
+        left_out = 2 * samples > total
+        drawn = np.concatenate(list(_distinct_draws(
+            ranks, total - samples if left_out else samples, GATHER_BUDGET_BYTES // 8
+        )))
+        if not left_out:
+            for lo in range(0, samples, chunk):
+                yield _unrank(drawn[lo:lo + chunk], table)
+            return
+        drawn.sort()
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            keep = np.ones(hi - lo, dtype=bool)
+            keep[drawn[np.searchsorted(drawn, lo):np.searchsorted(drawn, hi)] - lo] = False
+            yield _unrank(np.flatnonzero(keep) + lo, table)
+        return
+    chunk = max(1, min(chunk, GATHER_BUDGET_BYTES // (8 * m)))
+    words = _fingerprint_words(m)
+
+    def keys(size):
+        idx = np.argpartition(rng.random((size, m)), g - 1, axis=1)
+        idx = np.sort(idx[:, :g], axis=1)  # the g smallest keys of each row
+        return idx, words[idx].sum(axis=1)
+
+    yield from _distinct_draws(keys, samples, chunk)
 
 
 def _cholesky_clears(gram: np.ndarray, c: float) -> np.ndarray:
@@ -586,9 +620,9 @@ def _min_over_subsets(a: DenseMatrix, k: int, samples: int | None = None, seed: 
     The working set is P (8 m n (n + 1) / 2 bytes, built once), in exact
     mode the low sums (at most half the budget), one chunk's arrays
     (each chunk is released before the next is formed) and, in sampled
-    mode, the sampler's one 8-byte rank or fingerprint per sample: it
-    does not grow with the subset size, and grows with the sample count
-    by 8 bytes a sample.
+    mode, the sampler's at most one 8-byte rank or fingerprint per
+    sample: it does not grow with the subset size, and grows with the
+    sample count by at most 8 bytes a sample.
 
     Both sources feed one screen.  A batched Cholesky test
     (``_cholesky_clears_into``) against the running minimum b clears

@@ -49,10 +49,8 @@ class GenSpec:
 
     ``beta * m`` must be an integer (the corruption support size).
     ``corruption_scale`` bounds the corruption magnitudes, drawn uniformly
-    from [0, scale]; ``signed_corruption`` flips each sign with its own
-    stream so the unsigned draw is unchanged.  ``noise_stddev`` is the
-    per-entry Gaussian noise level; with ``disjoint_support`` the noise is
-    zeroed on the corrupted rows.
+    from [0, scale].  ``noise_stddev`` is the per-entry Gaussian noise
+    level, on every row, corrupted ones included.
     """
 
     m: int
@@ -61,8 +59,6 @@ class GenSpec:
     corruption_scale: float = 0.0
     noise_stddev: float = 1.0
     ensemble: str = "gaussian"
-    disjoint_support: bool = False
-    signed_corruption: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -144,13 +140,15 @@ def generate(spec: GenSpec) -> CorruptedProblem:
     """Draw one instance from the spec, deterministically in the seed.
 
     Streams are split per component: matrix, solution, corruption support,
-    corruption values, corruption signs, noise.  The support is a uniform
+    corruption values, an unused fifth stream, noise.  The fifth once drew
+    corruption signs; it is still spawned so the noise stream, and so
+    every stored bundle, keeps its bytes.  The support is a uniform
     size-(beta*m) index set; values are Uniform[0, scale] paired with the
     support in index order.
     """
     root = np.random.SeedSequence(spec.seed)
     streams = [np.random.default_rng(s) for s in root.spawn(6)]
-    matrix_rng, solution_rng, support_rng, value_rng, sign_rng, noise_rng = streams
+    matrix_rng, solution_rng, support_rng, value_rng, _, noise_rng = streams
 
     # The draw is private to this call, so it is normalised in place.
     raw = _draw_matrix(matrix_rng, spec)
@@ -160,15 +158,10 @@ def generate(spec: GenSpec) -> CorruptedProblem:
 
     k = spec.corrupted_rows
     support = np.sort(support_rng.choice(spec.m, size=k, replace=False).astype(np.intp))
-    values = value_rng.random(k) * spec.corruption_scale
-    if spec.signed_corruption:
-        values = values * (sign_rng.integers(0, 2, size=k) * 2 - 1)
     xi = np.zeros(spec.m)
-    xi[support] = values
+    xi[support] = value_rng.random(k) * spec.corruption_scale
 
     eta = noise_rng.standard_normal(spec.m) * spec.noise_stddev
-    if spec.disjoint_support:
-        eta[support] = 0.0
 
     b = b_t + eta + xi
     return CorruptedProblem(

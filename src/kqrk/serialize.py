@@ -239,7 +239,6 @@ _JSON_SCALARS = {
     int: lambda v: isinstance(v, int) and not isinstance(v, bool),
     float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     str: lambda v: isinstance(v, str),
-    bool: lambda v: isinstance(v, bool),
 }
 
 

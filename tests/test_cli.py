@@ -185,18 +185,13 @@ class TestSolve:
         assert not trace.exists()
 
     def test_residual_mode_is_not_an_option(self, tmp_path, capsys):
-        # The residual path is the solver's rule; neither the flag nor a
-        # config key selects it.
+        # The residual path is the solver's rule; no flag selects it.
         bundle = _gen(tmp_path)
         argv = ["solve", "--problem", str(bundle), "--method", "qrk", "--q", "4/5",
                 "--trace", str(tmp_path / "trace.csv")]
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--residual-mode", "incremental"])
         assert exc.value.code == 2
-        cfg = tmp_path / "solve.cfg"
-        cfg.write_text("residual_mode = incremental\n")
-        assert main([*argv, "--config", str(cfg)]) == 2
-        assert "unknown config keys: ['residual_mode']" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
     def test_rk_trace_has_empty_quantiles(self, tmp_path):
@@ -326,6 +321,26 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ")
         assert f"GenSpec: missing key '{key}'" in err
+
+    @pytest.mark.parametrize("key", ["disjoint_support", "signed_corruption"])
+    def test_manifest_spec_with_a_removed_field_is_rejected(self, tmp_path, capsys, key):
+        # bundles once recorded these generator variants; their spec no
+        # longer describes how this generator draws, so it is not read
+        bundle = _gen(tmp_path, m=12, n=2, beta="1/12", scale="20")
+        doc = json.loads((bundle / "manifest.json").read_text())
+        doc["spec"][key] = False
+        (bundle / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["bounds", "--problem", str(bundle), "--q", "1/2", "--q0", "1/4",
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert f"GenSpec: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        assert main([*argv, "--beta", "1/12"]) == 0
+        assert main(["verify", "--problem", str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ")
+        assert f"GenSpec: unknown key '{key}'" in err
 
     def test_sampled_mode(self, tmp_path):
         bundle = _gen(tmp_path, m=30, n=3, beta="1/30", scale="20")
@@ -568,16 +583,11 @@ class TestExperiment:
         assert rc == 2
 
     def test_threads_is_not_an_option(self, tmp_path, capsys):
-        # Experiments run one job at a time; neither the flag nor a config
-        # key selects a thread count.
+        # Experiments run one job at a time; no flag selects a thread count.
         out = str(tmp_path / "x")
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "fig2", "--threads", "2", "--out", out])
         assert exc.value.code == 2
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("threads = 2\n")
-        assert main(["experiment", "fig2", "--config", str(cfg), "--out", out]) == 2
-        assert "unknown config keys: ['threads']" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_manifest_parameters_cover_spec(self, tmp_path):
@@ -663,38 +673,54 @@ class TestVerifyUsage:
         assert "exactly one" in capsys.readouterr().err
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_cli_wins(self, tmp_path):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("m = 30\nn = 3  # columns\nseed = 11\n")
-        out = tmp_path / "prob"
-        rc = main(
-            [
-                "gen",
-                "--config", str(cfg),
-                "--m", "20",  # overrides the config value
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        doc = json.loads((out / "manifest.json").read_text())
-        assert doc["spec"]["m"] == 20
-        assert doc["spec"]["n"] == 3
-        assert doc["spec"]["seed"] == 11
+class TestRemovedInputs:
+    """Every value has one channel, its flag: ``--config`` is refused like
+    any unknown flag, and so are the generator's ``--disjoint`` and
+    ``--signed``, whose spec fields are gone."""
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("rows = 30\n")
-        rc = main(["gen", "--config", str(cfg), "--n", "3", "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "unknown config keys" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--disjoint", "--signed"])
+    def test_gen_variant_flag_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "p"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--m", "12", "--n", "3", "--beta", "1/12", "--scale", "5",
+                  flag, "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_malformed_line(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("just words\n")
-        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "expected key = value" in capsys.readouterr().err
+    @pytest.mark.parametrize("subcommand", ["gen", "solve", "bounds", "experiment", "verify"])
+    def test_config_exits_2(self, tmp_path, capsys, subcommand):
+        # each command line is complete and valid without --config, and
+        # the file is empty, so only the flag itself is refused
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        bundle = _gen(tmp_path, m=12, n=2, beta="1/12", scale="20")
+        argv = {
+            "gen": ["gen", "--m", "12", "--n", "2", "--out", str(tmp_path / "p")],
+            "solve": ["solve", "--problem", str(bundle), "--method", "rk", "--iters", "5",
+                      "--trace", str(tmp_path / "p" / "t.csv")],
+            "bounds": ["bounds", "--problem", str(bundle), "--q", "1/2",
+                       "--out", str(tmp_path / "p" / "r.json")],
+            "experiment": ["experiment", "fig1", "--m", "40", "--n", "4", "--iters", "20",
+                           "--window", "5", "--methods", "rk", "--ensembles", "gaussian",
+                           "--out", str(tmp_path / "p")],
+            "verify": ["verify", "--problem", str(bundle)],
+        }[subcommand]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("subcommand", ["gen", "solve", "bounds", "experiment", "verify"])
+    def test_help_lists_no_removed_flag(self, capsys, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--config", "--disjoint", "--signed"):
+            assert flag not in text
 
 
 class TestVersion:

@@ -566,6 +566,26 @@ class TestSubsetEngine:
         again = np.concatenate(list(_random_subsets(m, g, samples, 3, 4)))
         np.testing.assert_array_equal(rows, again)
 
+    @pytest.mark.parametrize("samples", [10, 40], ids=["kept_ranks", "left_out_ranks"])
+    def test_rank_path_includes_every_subset_equally(self, samples):
+        # C(8, 3) = 56: 10 samples draw the kept ranks, 40 (past half of
+        # 56) draw the 16 left out.  Over 2000 seeds each subset is drawn
+        # Binomial(2000, samples / 56) times; every count lies within 5
+        # standard deviations of its mean, and the counts are not too
+        # even either (a chi-square over 55 degrees of freedom).
+        m, g, seeds = 8, 3, 2000
+        rank = {c: r for r, c in enumerate(itertools.combinations(range(m), g))}
+        counts = np.zeros(len(rank))
+        for seed in range(seeds):
+            rows = np.concatenate(list(_random_subsets(m, g, samples, seed, 3)))
+            assert len({tuple(r) for r in rows}) == samples
+            counts[[rank[tuple(r)] for r in rows]] += 1
+        p = samples / len(rank)
+        mean, sd = seeds * p, math.sqrt(seeds * p * (1 - p))
+        assert np.all(np.abs(counts - mean) <= 5 * sd)
+        chi2 = float(((counts - mean) ** 2).sum() / (mean * (1 - p)))
+        assert 25 < chi2 < 95
+
     def test_key_path_rejects_repeated_keys(self, monkeypatch):
         m, g, samples = 80, 30, 50
         real = np.random.default_rng
@@ -652,6 +672,10 @@ class TestSubsetEngine:
 # and q0 - beta, sampled with seeds 0 and 1 where the mode is sampled.
 # Recorded with the engine that formed every Gram matrix by one GEMM
 # against a 0/1 subset indicator, so they hold the prefix-sum engine to it.
+# The dense bundle's q0 - beta level (7314 of C(22, 5) subsets) was
+# re-recorded when the rank sampler stopped permuting all ranks, which
+# changed its draw; each value equals the smallest SVD value over the
+# drawn subsets, each subset's SVD taken on its own.
 CERTIFY_BUNDLES = {
     "exact": (24, 4, Fraction(1, 24), Fraction(11, 12), Fraction(3, 4), None),
     "dense": (22, 4, Fraction(1, 22), Fraction(19, 22), Fraction(3, 11), 7314),
@@ -661,9 +685,9 @@ CERTIFY_VALUES = {
     ("exact", 1): (1.2760760404069722, 0.8188090351213454),
     ("exact", 2): (1.1474165528713878, 0.6427001435590979),
     ("exact", 11): (1.021286941828184, 0.6199278057380159),
-    ("dense", 1): (0.9519759661794847, 0.0015877288883660225),
-    ("dense", 2): (0.9020782809923086, 0.007891103581436604),
-    ("dense", 11): (0.7634350114643877, 0.009785831169326771),
+    ("dense", 1): (0.9519759661794847, 0.003588789408692147),
+    ("dense", 2): (0.9020782809923086, 0.008013912388130751),
+    ("dense", 11): (0.7634350114643877, 0.015145910111624755),
     ("tall", 1): (3.326578491467384, 2.708398911816128),
     ("tall", 2): (3.3628979071154372, 2.66437927682794),
     ("tall", 11): (3.304417123051095, 2.647952277035607),

@@ -8,6 +8,7 @@ of A overshoots its bound by most of |A|.
 """
 from __future__ import annotations
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from kqrk import cli, solvers
 from kqrk.linalg import (
     GATHER_BUDGET_BYTES,
     DenseMatrix,
+    _random_subsets,
     row_normalize,
     sigma_q_min_exact,
     sigma_q_min_sampled,
@@ -101,3 +103,18 @@ def test_exact_sigma_working_set(k):
     a, _ = row_normalize(np.random.default_rng(3).standard_normal((m, n)))
     peak = traced_peak(sigma_q_min_exact, a, Fraction(k, m))
     assert peak <= 8 * m * n * (n + 1) / 2 + 2.5 * GATHER_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("samples", [200_000, math.comb(26, 10) - 200_000])
+def test_rank_sampler_working_set(samples):
+    # C(26, 10) = 5,311,735 subsets, below 2**63, so subsets are drawn as
+    # ranks: 200,000 kept ones, or the 200,000 left out.  The sampler
+    # holds 8 bytes a drawn rank (1.6 MB), one round of draws (at most
+    # GATHER_BUDGET_BYTES of ranks) and one chunk, not a permutation of
+    # all C(26, 10) ranks (45 and 83 MB traced when numpy's `choice` drew
+    # them).
+    def consume():
+        for _ in _random_subsets(26, 10, samples, 1, 1000):
+            pass
+
+    assert traced_peak(consume) <= 12e6

@@ -86,11 +86,10 @@ class TestMatrixContainer:
             load_matrix(path)
 
     # Bundle matrix of GenSpec(m=50, n=3, beta=1/5, corruption 1e6, uniform,
-    # signed, disjoint, seed 0) as the container format has always stored it.
+    # seed 0) as the container format has always stored it.
     GOLDEN_FILE_SHA = "500c5a29780e042a2479d69c493a9c64dbac6ab76a49f6158a366c74a031be46"
     GOLDEN_SPEC = GenSpec(
-        m=50, n=3, beta=Fraction(1, 5), corruption_scale=1e6, ensemble="uniform",
-        signed_corruption=True, disjoint_support=True, seed=0,
+        m=50, n=3, beta=Fraction(1, 5), corruption_scale=1e6, ensemble="uniform", seed=0,
     )
 
     @staticmethod
@@ -195,11 +194,10 @@ class TestProblemBundle:
         specs = [
             GenSpec(
                 m=12, n=3, beta=Fraction(1, 4), corruption_scale=5.0,
-                noise_stddev=0.5, ensemble="uniform", disjoint_support=True,
-                signed_corruption=True, seed=42,
+                noise_stddev=0.5, ensemble="uniform", seed=42,
             ),
-            GenSpec(m=12, n=3, beta=0.25, signed_corruption=True),
-            GenSpec(m=12, n=3, disjoint_support=True),
+            GenSpec(m=12, n=3, beta=0.25, corruption_scale=5.0),
+            GenSpec(m=12, n=3, noise_stddev=0.0),
             GenSpec(m=5, n=5),
         ]
         for spec in specs:
@@ -212,12 +210,11 @@ class TestProblemBundle:
         [
             (GenSpec, {k: v for k, v in _GEN.items() if k != "m"},
              "GenSpec: missing key 'm'"),
-            (GenSpec, {k: v for k, v in _GEN.items() if k != "signed_corruption"},
-             "GenSpec: missing key 'signed_corruption'"),
+            (GenSpec, {k: v for k, v in _GEN.items() if k != "noise_stddev"},
+             "GenSpec: missing key 'noise_stddev'"),
             (GenSpec, {**_GEN, "sede": 4}, "GenSpec: unknown key 'sede'"),
             (GenSpec, {**_GEN, "m": "forty"}, "GenSpec: key 'm' must be int, got 'forty'"),
-            (GenSpec, {**_GEN, "signed_corruption": "yes"},
-             "GenSpec: key 'signed_corruption' must be bool"),
+            (GenSpec, {**_GEN, "seed": True}, "GenSpec: key 'seed' must be int, got True"),
             (GenSpec, {**_GEN, "beta": "one"}, "GenSpec: beta: Invalid literal"),
             (GenSpec, {**_GEN, "m": 2}, "GenSpec: need m >= n >= 1"),
             (GenSpec, ["m", 12], "GenSpec: expected an object"),
