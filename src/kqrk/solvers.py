@@ -18,23 +18,21 @@ admissible set is the k lowest residuals counted with multiplicity, ties
 at the cut resolved toward the lowest row index, and the row is drawn
 uniformly from it.
 
-There is one step loop per residual policy.  rk (``run``) never reads
-the residual: it draws every row up front and steps in O(n) on
-r_i = b_i - <a_i, x>; residual norms, recorded only on request, take one
-b - A X product per block of ``RK_BLOCK`` stored iterates.  qrk and dqrk
-(``run_batch``; ``run`` is a batch of one) step any number of runs of one
-problem in lockstep.  ``_gram_pays`` picks from m, n and the batch's
-largest iteration count whether every run forms its residual b - A x each
-step, two or more by one product A [x_1 ... x_B] while A is at most
+There is one step loop, ``run_batch``, and ``run`` is a batch of one: it
+steps runs of one problem, of any methods, in lockstep.  rk draws every
+row up front and steps on the row dot r_i = b_i - <a_i, x>.  qrk and dqrk
+rank the full residual, and ``_gram_pays`` picks from m, n and their
+largest iteration count whether each forms b - A x every step, two or
+more by one product A [x_1 ... x_B] while A is at most
 ``SHARED_PRODUCT_BYTES`` (the measured crossover against one gemv each,
 so a batch's traces may differ from solo runs in last bits), or updates
 it by rows of one shared Gram matrix A A^T, re-synced every
-``RESYNC_EVERY`` steps.  Neither rule reads the host.
+``RESYNC_EVERY`` steps.  Neither rule reads the host.  Every run stores
+its iterates in blocks of ``STATE_BLOCK``; one pass over a block gives
+their squared errors (and rk's residual norms, by one b - X A^T product),
+and ``stop_below`` cuts the trace at the first stored state under it.
 
 ``horizon_estimate`` reads the squared-error plateau of a trace.
-
-Band selection sorts a copy of the keys and returns the row a stable
-argsort would put at the chosen rank, so ties go to the lowest row index.
 """
 from __future__ import annotations
 
@@ -68,7 +66,8 @@ RESIDUAL_DRIFT_SLACK = 2
 RESYNC_EVERY = 1000
 # Largest m-by-m Gram matrix, in bytes, that _gram_pays admits.
 GRAM_BUDGET_BYTES = 2**30
-RK_BLOCK = 64
+# Iterates a run stores between passes that fill their squared errors.
+STATE_BLOCK = 64
 # Largest A, in bytes, for which two or more runs share one residual product
 # per step.  A constant, not a host probe, so output bytes never follow the
 # machine; README records the crossover it was set from.
@@ -190,19 +189,15 @@ def _pick_rows(m: int, us) -> np.ndarray:
 
 
 def _select_in_band(
-    keys: np.ndarray, k_lo: int, k_hi: int, u: float,
-    s: np.ndarray | None = None, hits: np.ndarray | None = None,
+    keys: np.ndarray, k_lo: int, k_hi: int, u: float, s: np.ndarray, hits: np.ndarray
 ) -> tuple[int, float, float]:
     """Pick a row from the rank band [k_lo, k_hi) of keys; return (i, Q0, Q).
 
     Q0 and Q are the k_lo-th and k_hi-th smallest keys (Q0 is unused when
     k_lo is 0).  The row is the one a stable argsort would put at the
-    chosen rank, so ties go to the lowest row index.  ``s``, if given,
-    holds ``keys`` sorted, and ``hits`` (bool, shaped like ``keys``) is an
-    optional work buffer.
+    chosen rank, so ties go to the lowest row index.  ``s`` holds ``keys``
+    sorted, and ``hits`` is a bool work buffer shaped like ``keys``.
     """
-    s = np.sort(keys) if s is None else s
-    hits = np.empty(keys.shape, dtype=bool) if hits is None else hits
     pos = k_lo + min(int(u * (k_hi - k_lo)), k_hi - k_lo - 1)
     v = s[pos]
     if v == v and (pos == 0 or s[pos - 1] != v):
@@ -289,28 +284,45 @@ def _drift_tolerance(steps: int, n: int, b_inf: float, x_peak: float) -> float:
 
 
 class _Run:
-    """One run's settings, random streams and trace arrays.  Two streams
-    split off config.seed, one to initialize and one to select rows, whose
-    uniforms are all drawn up front (rk draws its rows from them at once)."""
+    """One run's settings, random streams, stored states and trace arrays.
+    Two streams split off config.seed, one to initialize and one to select
+    rows, whose uniforms, one a state, are all drawn up front (rk draws its
+    rows from them at once)."""
 
     def __init__(self, config, a, b, x_star, residual_norms):
-        big_k, quantile = config.iterations, config.method != "rk"
+        big_k, self.quantile = config.iterations, config.method != "rk"
         self.method, self.iterations, self.stop_below = config.method, big_k, config.stop_below
         self.k_lo, self.k_hi = _resolve_counts(config.method, config.q, config.q0, a.shape[0])
         init_ss, sel_ss = np.random.SeedSequence(config.seed).spawn(2)
-        self.uniforms = np.random.default_rng(sel_ss).random(big_k)
+        self.uniforms = np.random.default_rng(sel_ss).random(big_k + 1)
         self.x = _initial_x(config, a, b, np.random.default_rng(init_ss))
         if config.stop_below is not None and x_star is None:
             raise InvalidSpecError("stop_below needs a problem with a known solution")
         self.xsq_peak = float(self.x @ self.x)
-        self.last, self.r = big_k, None  # r: the residual row run_batch steps
-        self.chosen = (
-            np.empty(big_k, dtype=np.int64) if quantile else _pick_rows(a.shape[0], self.uniforms)
-        )
+        self.last, self.r = big_k, None  # r: the residual a qrk/dqrk run ranks
+        self.states = np.empty((min(STATE_BLOCK, big_k + 1), a.shape[1]))
+        self.chosen = _pick_rows(a.shape[0], self.uniforms)  # qrk/dqrk overwrite it
         self.sq_errors = None if x_star is None else np.empty(big_k + 1)
         self.residual_sq = np.empty(big_k + 1) if residual_norms else None
-        self.quants_hi = np.empty(big_k + 1) if quantile else None
+        self.quants_hi = np.empty(big_k + 1) if self.quantile else None
         self.quants_lo = np.empty(big_k + 1) if config.method == "dqrk" else None
+
+    def close_block(self, k: int, a, b, x_star) -> None:
+        """Fill the squared errors, and rk's residual norms, of the states
+        stored since the last block end, up to state k; the run ends at the
+        first of them under stop_below."""
+        start = k - k % STATE_BLOCK
+        stored = self.states[: k - start + 1]
+        if self.residual_sq is not None and not self.quantile:
+            res = b - stored @ a.T
+            self.residual_sq[start : k + 1] = np.vecdot(res, res)
+        if x_star is not None:
+            d = stored - x_star
+            errs = self.sq_errors[start : k + 1]
+            errs[:] = np.vecdot(d, d)
+            hit = np.flatnonzero(errs < self.stop_below) if self.stop_below else ()
+            if len(hit):
+                self.last = start + int(hit[0])
 
     def trace(self) -> RunTrace:
         def states(v):
@@ -321,7 +333,7 @@ class _Run:
             residual_norms=None if self.residual_sq is None else np.sqrt(states(self.residual_sq)),
             chosen_indices=self.chosen[: self.last],
             admissible_size=self.k_hi - self.k_lo,
-            final_x=self.x,
+            final_x=self.states[self.last % STATE_BLOCK].copy(),
             sq_errors=states(self.sq_errors),
             quantiles_q0=states(self.quants_lo),
             quantiles_q=states(self.quants_hi),
@@ -334,110 +346,72 @@ def run(problem, config: SolverConfig, *, residual_norms: bool = False) -> RunTr
     Deterministic for fixed (problem, config).  A must have unit rows (see
     the module docstring) and b must be finite, with one entry per row of
     A; otherwise ValueError.  The trace's residual norms are recorded only
-    with ``residual_norms=True``; rk pays one b - A X product per block of
-    stored iterates for them.  qrk and dqrk run as a batch of one
-    (``run_batch``).
+    with ``residual_norms=True``.  The run is a batch of one (``run_batch``).
     """
-    if config.method != "rk":
-        return run_batch(problem, [config], residual_norms=residual_norms)[0]
-    a, b, x_star = _unpack(problem)
-    t = _Run(config, a, b, x_star, residual_norms)
-    x, big_k, (m, n) = t.x, t.iterations, a.shape
-    # The pick never reads the residual: step on r_i = b_i - a_i.x alone,
-    # and get errors (and residual norms, if asked) from the stored
-    # iterates, one block at a time.
-    block = min(RK_BLOCK, big_k + 1)
-    xs, step = np.empty((block, n)), np.empty(n)
-    axs = np.empty((block, m)) if residual_norms else None
-    start = 0
-    for k in range(big_k + 1):
-        xs[k - start] = x
-        if k == big_k or k - start == block - 1:
-            stored = xs[: k - start + 1]
-            if residual_norms:
-                ax = np.matmul(stored, a.T, out=axs[: k - start + 1])
-                np.subtract(b, ax, out=ax)
-                t.residual_sq[start : k + 1] = np.einsum("ij,ij->i", ax, ax)
-            if t.sq_errors is not None:
-                d = stored - x_star
-                errs = t.sq_errors[start : k + 1]
-                errs[:] = np.einsum("ij,ij->i", d, d)
-                hit = np.flatnonzero(errs < t.stop_below) if t.stop_below else ()
-                if len(hit):
-                    t.last = start + int(hit[0])
-                    x = xs[hit[0]].copy()
-                    break
-            if k == big_k:
-                break
-            start = k + 1
-        i = t.chosen[k]
-        row = a[i]
-        np.multiply(row, b[i] - row @ x, out=step)
-        np.add(x, step, out=x)
-    t.x = x
-    return t.trace()
+    return run_batch(problem, [config], residual_norms=residual_norms)[0]
 
 
 def run_batch(problem, configs, *, residual_norms: bool = False) -> list[RunTrace]:
-    """Run qrk/dqrk configs on one problem in lockstep; one trace per config.
+    """Run configs of any methods on one problem in lockstep; one trace each.
 
     Each run keeps its own iterations, stop_below, start and seed, and
-    leaves the batch when it stops.  Where every residual takes the gemv
-    (on the Gram path, with one run left, or A above SHARED_PRODUCT_BYTES)
-    a trace is bitwise its solo run's; the shared product moves its floats
-    by about 1e-15 relative.
+    leaves the batch when it ends.  A trace is bitwise its solo run's
+    unless the shared product (module docstring) forms its residuals,
+    which moves its floats by about 1e-15 relative.
     """
-    if any(c.method == "rk" for c in configs):
-        raise InvalidSpecError("run_batch takes qrk/dqrk configs")
     a, b, x_star = _unpack(problem)
     m, n = a.shape
     runs = [_Run(c, a, b, x_star, residual_norms) for c in configs]
-    gram = None
-    if _gram_pays(m, n, max((t.iterations for t in runs), default=0)):
-        gram = a @ a.T
-        b_inf = float(np.max(np.abs(b)))
-    live, k, step, d = runs, 0, np.empty(n), np.empty(n)
+    # Only a run that ranks its residual can use the Gram.
+    longest = max((t.iterations for t in runs if t.quantile), default=0)
+    gram = a @ a.T if longest and _gram_pays(m, n, longest) else None
+    b_inf = float(np.max(np.abs(b)))
+    live, k, step, xs = runs, 0, np.empty(n), ()
     while live:
-        if k == 0 or len(live) < len(xs):
-            xs = np.array([t.x for t in live])
-            rs = np.array([t.r for t in live]) if k else np.empty((len(live), m))
+        band = [t for t in live if t.quantile]
+        if k == 0 or len(band) < len(xs):
+            # The qrk/dqrk runs' iterates and residuals are rows of one array
+            # each, so that one abs and one sort serve them all.
+            xs = np.array([t.x for t in band])
+            rs = np.array([t.r for t in band]) if k else np.empty((len(band), m))
             keys, srt, hits = np.empty_like(rs), np.empty_like(rs), np.empty(rs.shape, dtype=bool)
-            for t, x, r in zip(live, xs, rs):
-                t.x, t.r = x, r
-        if gram is None and len(xs) > 1 and a.nbytes <= SHARED_PRODUCT_BYTES:
-            # One product through a C-ordered copy of xs^T (module docstring).
-            np.subtract(b, np.matmul(a, np.ascontiguousarray(xs.T)).T, out=rs)
-        elif gram is None or k == 0:
-            # One gemv a run.  Gram updates carry a residual's rounding to the
-            # next resync, so the Gram path forms it as a solo run does.
-            for x, r in zip(xs, rs):
-                np.subtract(b, np.matmul(a, x, out=r), out=r)
-        np.abs(rs, out=keys)
-        np.copyto(srt, keys)
-        srt.sort(axis=1)
-        for t, key, s, hit in zip(live, keys, srt, hits):
+            for t, *rows in zip(band, xs, rs, keys, srt, hits):
+                t.x, t.r, t.key, t.srt, t.hit = rows
+        if band:
+            if gram is None and len(xs) > 1 and a.nbytes <= SHARED_PRODUCT_BYTES:
+                # One product through a C-ordered copy of xs^T (module docstring).
+                np.subtract(b, np.matmul(a, np.ascontiguousarray(xs.T)).T, out=rs)
+            elif gram is None or k == 0:
+                # One gemv a run.  Gram updates carry a residual's rounding to
+                # the next resync, so the Gram path forms it as a solo run does.
+                for x, r in zip(xs, rs):
+                    np.subtract(b, np.matmul(a, x, out=r), out=r)
+            np.abs(rs, out=keys)
+            np.copyto(srt, keys)
+            srt.sort(axis=1)
+        for t in live:
             x, r = t.x, t.r
-            if residual_norms:
-                t.residual_sq[k] = r @ r
-            if x_star is not None:
-                np.subtract(x, x_star, out=d)
-                t.sq_errors[k] = d @ d
-            done = k == t.iterations or bool(t.stop_below and t.sq_errors[k] < t.stop_below)
-            # The final state records its quantiles; its pick goes unused.
-            i, quant_lo, t.quants_hi[k] = _select_in_band(
-                key, t.k_lo, t.k_hi, 0.0 if done else t.uniforms[k], s, hit
-            )
-            if t.quants_lo is not None:
-                t.quants_lo[k] = quant_lo
-            if done:
-                t.last, t.x = k, x.copy()
-                continue
-            t.chosen[k] = i
-            np.multiply(a[i], r[i], out=step)
+            t.states[k % STATE_BLOCK] = x
+            if t.quantile:
+                # The last state records its quantiles; its pick goes unused.
+                t.chosen[k], quant_lo, t.quants_hi[k] = _select_in_band(
+                    t.key, t.k_lo, t.k_hi, t.uniforms[k], t.srt, t.hit
+                )
+                if t.quants_lo is not None:
+                    t.quants_lo[k] = quant_lo
+                if residual_norms:
+                    t.residual_sq[k] = r @ r
+            if k == t.iterations or k % STATE_BLOCK == STATE_BLOCK - 1:
+                t.close_block(k, a, b, x_star)
+                if t.last <= k:
+                    continue
+            i = t.chosen[k]
+            r_i = r[i] if t.quantile else b[i] - a[i] @ x
+            np.multiply(a[i], r_i, out=step)
             np.add(x, step, out=x)
-            if gram is not None:
-                np.multiply(gram[i], r[i], out=key)  # key is free until next step
-                np.subtract(r, key, out=r)
+            if gram is not None and t.quantile:
+                np.multiply(gram[i], r_i, out=t.key)  # key is free until next step
+                np.subtract(r, t.key, out=r)
                 t.xsq_peak = max(t.xsq_peak, float(x @ x))
                 if (k + 1) % RESYNC_EVERY == 0:
                     exact = b - a @ x

@@ -26,6 +26,7 @@ from kqrk.linalg import (
 )
 from kqrk.problems import GenSpec, generate
 from kqrk.serialize import load_problem, save_problem
+from kqrk.solvers import SolverConfig
 
 SPEC = GenSpec(m=2048, n=512, beta=Fraction(1, 16), corruption_scale=100.0, seed=5)
 A_BYTES = SPEC.m * SPEC.n * 8
@@ -118,3 +119,18 @@ def test_rank_sampler_working_set(samples):
             pass
 
     assert traced_peak(consume) <= 12e6
+
+
+def test_rk_never_builds_the_gram(monkeypatch):
+    # rk ranks no residual, so an rk-only batch never builds the 8 m^2-byte
+    # Gram, even where the rule (forced here) would take it; a qrk run on
+    # the same system does.
+    m, n = 2000, 100
+    rng = np.random.default_rng(2)
+    system = (row_normalize(rng.standard_normal((m, n)))[0], rng.standard_normal(m))
+    monkeypatch.setattr(solvers, "_gram_pays", lambda m, n, iterations: True)
+    gram_bytes = 8 * m * m
+    rk = SolverConfig(method="rk", iterations=200)
+    assert traced_peak(solvers.run, system, rk, residual_norms=True) <= 0.1 * gram_bytes
+    qrk = SolverConfig(method="qrk", q=Fraction(1, 2), iterations=1)
+    assert traced_peak(solvers.run, system, qrk) >= gram_bytes

@@ -163,9 +163,9 @@ class TestSelectInBand:
         k_hi = data.draw(st.integers(1, m))
         k_lo = data.draw(st.integers(0, k_hi - 1))
         order = np.argsort(keys, kind="stable")
-        width = k_hi - k_lo
+        width, srt, hits = k_hi - k_lo, np.sort(keys), np.empty(m, dtype=bool)
         for j in range(width):
-            i, q_lo, q_hi = _select_in_band(keys, k_lo, k_hi, (j + 0.5) / width)
+            i, q_lo, q_hi = _select_in_band(keys, k_lo, k_hi, (j + 0.5) / width, srt, hits)
             assert i == order[k_lo + j]
             np.testing.assert_equal(q_hi, keys[order[k_hi - 1]])
             if k_lo:
@@ -450,7 +450,7 @@ _TRACE_FLOATS = ("sq_errors", "residual_norms", "quantiles_q0", "quantiles_q", "
 
 def _assert_batch_matches_solo(problem, configs, rtol):
     """Each batched trace has its solo run's picks and stop step; floats
-    agree to ``rtol`` (bitwise when it is 0)."""
+    agree to ``rtol`` (bitwise when it is 0).  Returns the batch."""
     batch = run_batch(problem, configs, residual_norms=True)
     assert len(batch) == len(configs)
     for cfg, got in zip(configs, batch):
@@ -465,11 +465,12 @@ def _assert_batch_matches_solo(problem, configs, rtol):
                 np.testing.assert_allclose(g, w, rtol=rtol, atol=0, err_msg=name)
             elif w is not None:
                 np.testing.assert_array_equal(g, w, err_msg=name)
+    return batch
 
 
 @st.composite
 def _batches(draw):
-    """A small problem, 2-4 qrk/dqrk configs that differ in seed,
+    """A small problem, 2-4 configs of any methods that differ in seed,
     iterations, start and stop_below, and the residual path."""
     m, n = draw(st.sampled_from([20, 40])), draw(st.integers(2, 6))
     seed = draw(st.integers(0, 999))
@@ -477,11 +478,11 @@ def _batches(draw):
     problem = _problem(m=m, n=n, beta=Fraction(1, 10), scale=20.0, seed=seed, noise_stddev=noise)
     configs = []
     for _ in range(draw(st.integers(2, 4))):
-        method = draw(st.sampled_from(["qrk", "dqrk"]))
+        method = draw(st.sampled_from(["rk", "qrk", "dqrk"]))
         x0 = draw(st.sampled_from(["default", "zero", "project_first", "vector"]))
         configs.append(SolverConfig(
             method=method,
-            q=Fraction(4, 5),
+            q=None if method == "rk" else Fraction(4, 5),
             q0=Fraction(3, 5) if method == "dqrk" else None,
             iterations=draw(st.integers(1, 120)),
             seed=draw(st.integers(0, 999)),
@@ -545,9 +546,48 @@ class TestBatch:
         run_batch(prob, cfgs)
         assert calls == [1] * 22
 
-    def test_rejects_rk(self):
-        with pytest.raises(InvalidSpecError):
-            run_batch(_problem(), [SolverConfig(method="rk", iterations=5)])
+    def test_mixed_methods_match_solo(self):
+        # rk steps in the same loop as the qrk/dqrk pair and never takes
+        # part in their shared product, so its trace is bitwise its solo
+        # run's.
+        prob = _problem(m=40, n=4, noise_stddev=0.01, seed=3)
+        levels = dict(q=Fraction(4, 5), q0=Fraction(3, 5))
+        configs = [
+            SolverConfig(method="rk", iterations=130, seed=1),
+            SolverConfig(method="qrk", q=levels["q"], iterations=90, seed=2),
+            SolverConfig(method="dqrk", iterations=150, seed=3, **levels),
+        ]
+        got = _assert_batch_matches_solo(prob, configs, rtol=1e-12)[0]
+        want = run(prob, configs[0], residual_norms=True)
+        np.testing.assert_array_equal(got.chosen_indices, want.chosen_indices)
+        for name in _TRACE_FLOATS:
+            if getattr(want, name) is not None:
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    def test_stop_mid_block_beside_a_longer_run(self, monkeypatch):
+        # The qrk run falls under stop_below at state 69, 5 states into its
+        # second block of stored iterates.  It steps on to the block's end,
+        # then its trace is cut at state 69 and its final x is that stored
+        # state; its dqrk partner runs on to 200 steps.  Without the shared
+        # product each residual is a gemv, so the replay is bitwise.
+        monkeypatch.setattr(solvers, "SHARED_PRODUCT_BYTES", 0)
+        prob = _problem(m=40, n=4, noise_stddev=0.0, seed=5)
+        qrk = SolverConfig(method="qrk", q=Fraction(4, 5), iterations=400, seed=2, stop_below=1e-6)
+        dqrk = SolverConfig(method="dqrk", q=Fraction(4, 5), q0=Fraction(3, 5), iterations=200)
+        stopped, partner = _assert_batch_matches_solo(prob, [qrk, dqrk], rtol=0)
+        assert stopped.iterations == 69 and 69 % solvers.STATE_BLOCK != solvers.STATE_BLOCK - 1
+        for arr in (stopped.sq_errors, stopped.residual_norms, stopped.quantiles_q):
+            assert len(arr) == 70
+        assert stopped.sq_errors[-1] < 1e-6 <= stopped.sq_errors[:-1].min()
+        a, x = prob.system.data, np.zeros(prob.n)
+        for i in stopped.chosen_indices:
+            r = prob.b - a @ x
+            x = x + a[i] * r[i]
+        np.testing.assert_array_equal(stopped.final_x, x)
+        assert partner.iterations == 200
+
+    def test_empty_batch(self):
+        assert run_batch(_problem(), []) == []
 
 
 class TestGramRule:
